@@ -10,19 +10,9 @@ lattice value-iteration oracle, and numerical verification of the
 differential conditions behind each bound.
 """
 
-from .game import (
-    AdversaryDistribution,
-    as_loss_outcome,
-    as_regret_vector,
-    check_balanced,
-    check_symmetric,
-    clip_simplex,
-    final_regret,
-    instant_regret,
-)
+from .game import clip_simplex
 from .specfun import (
     QuadratureSettings,
-    gaussian_absmax_expectation,
     gaussian_max_expectation,
     laplace_inv1_bound,
     laplace_inv32_integral,
@@ -30,9 +20,7 @@ from .specfun import (
 )
 from .potentials import (
     PotentialHandle,
-    RankedDecomposition,
     default_eta,
-    directional_derivatives,
     exp_gradient,
     exp_handle,
     exp_potential_geometric,
@@ -50,20 +38,16 @@ from .potentials import (
     max_potential_fixed,
     max_potential_geometric,
     max_upper_handle,
-    ranked_decomposition,
 )
 from .strategies import (
     AdversaryStrategy,
     PlayerStrategy,
-    exp_weights_player,
     heat_adversary_support,
     make_adversary,
     make_player,
-    max_adversary,
 )
 from .bounds import (
     BoundReport,
-    DiffusionConstants,
     ErrorConstants,
     all_bounds,
     comparison_curves,
@@ -87,7 +71,6 @@ from .oracle import (
     ordering_check,
     player_sandwich,
     potential_upper_source,
-    tail_bound,
     value_iteration_adversary,
     value_iteration_player,
 )

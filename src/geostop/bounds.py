@@ -18,14 +18,7 @@ import numpy as np
 from scipy import special
 
 from . import potentials
-from .potentials import (
-    heat_lower_handle,
-    heat_upper_handle,
-    kappa_m,
-    kappa_s,
-    max_lower_handle,
-    max_upper_handle,
-)
+from .potentials import kappa_m, kappa_s
 from .specfun import (
     gaussian_max_expectation,
     laplace_inv1_bound,
@@ -34,26 +27,11 @@ from .specfun import (
 from .strategies import heat_adversary_support
 
 __all__ = [
-    "DiffusionConstants", "ErrorConstants", "BoundReport",
+    "ErrorConstants", "BoundReport",
     "kappa_s", "kappa_m", "estimate_error_constants", "exp_weights_bound",
     "heat_bounds", "max_bounds", "all_bounds", "comparison_curves",
     "ratio_to_sqrt_2logN", "REPORT_FIELDS",
 ]
-
-
-@dataclass(frozen=True)
-class DiffusionConstants:
-    """The four diffusion factors in play for a given (n, delta)."""
-
-    kappa_heat_lower: float
-    kappa_heat_upper: float
-    kappa_max_lower: float
-    kappa_max_upper: float
-
-    @classmethod
-    def for_game(cls, n: int, delta: float) -> "DiffusionConstants":
-        ratio = (1.0 - delta) / delta
-        return cls(kappa_s(n, delta), ratio, 2.0 * ratio, kappa_m(n, delta))
 
 
 @dataclass(frozen=True)
@@ -304,13 +282,3 @@ def ratio_to_sqrt_2logN(n: int, delta: float,
         errors = ErrorConstants.zero()
     lo, _ = heat_bounds(n, delta, errors)
     return lo.bound * math.sqrt(delta) / math.sqrt(2.0 * math.log(n))
-
-
-# Handle factories keyed the same way reports are, for callers that need
-# the potential behind a bound.
-HANDLE_FACTORIES = {
-    ("heat", "lower"): heat_lower_handle,
-    ("heat", "upper"): heat_upper_handle,
-    ("max", "lower"): max_lower_handle,
-    ("max", "upper"): max_upper_handle,
-}

@@ -351,37 +351,40 @@ _PLAYER_BOUNDS = {"heat": (heat_upper_handle, heat_bounds, 1),
                   "max": (max_upper_handle, max_bounds, 1)}
 
 
-def cmd_oracle(parser, ns) -> int:
-    if (ns["adversary"] is None) == (ns["player"] is None):
-        parser.error("give exactly one of --adversary or --player")
-    n, delta = int(ns["n"]), float(ns["delta"])
-    radius, tol = int(ns["radius"]), float(ns["tol"])
-
+def _oracle_error(ns, n: int, delta: float, family_bounds, idx: int):
+    """Error term of one bound report and its mode, as --errors selects."""
     if ns["errors"] == "estimated":
         constants = estimate_error_constants(n, delta, seed=int(ns["seed"]))
         mode = "numerically_estimated"
     else:
         constants = ErrorConstants.zero()
         mode = "user_supplied"
+    return family_bounds(n, delta, constants)[idx].error_term, mode
+
+
+def cmd_oracle(parser, ns) -> int:
+    if (ns["adversary"] is None) == (ns["player"] is None):
+        parser.error("give exactly one of --adversary or --player")
+    n, delta = int(ns["n"]), float(ns["delta"])
+    radius, tol = int(ns["radius"]), float(ns["tol"])
 
     if ns["adversary"] is not None:
         kind = ns["adversary"]
         make_handle, family_bounds, idx = _ADVERSARY_BOUNDS[kind]
         handle = make_handle(n, delta)
-        err = family_bounds(n, delta, constants)[idx].error_term
         lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
                                         radius, tol)
+        err, mode = _oracle_error(ns, n, delta, family_bounds, idx)
         report = adversary_sandwich(lvf, handle, err, mode, tol)
         role = "adversary"
     else:
         kind = ns["player"]
         if kind == "exp":
-            handle, err = exp_handle(n, delta), 0.0
-            mode = "exact"
+            handle, err, mode = exp_handle(n, delta), 0.0, "exact"
         else:
             make_handle, family_bounds, idx = _PLAYER_BOUNDS[kind]
             handle = make_handle(n, delta)
-            err = family_bounds(n, delta, constants)[idx].error_term
+            err, mode = _oracle_error(ns, n, delta, family_bounds, idx)
         lvf = value_iteration_player(
             make_player(kind, n, delta), n, delta, radius, tol,
             upper_bound=potential_upper_source(handle, err))

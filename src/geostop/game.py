@@ -11,134 +11,29 @@ vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Weights this far below zero are treated as round-off and clipped; anything
 # more negative is a caller bug.
 SIMPLEX_NEG_TOL = 1e-12
-SIMPLEX_SUM_TOL = 1e-9
 
 
-def as_regret_vector(x) -> np.ndarray:
-    """Validate and return a cumulative regret vector as a float array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("regret vector must be one-dimensional with n >= 2")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("regret vector must be finite")
-    return x
-
-
-def as_loss_outcome(q) -> np.ndarray:
-    """Validate a single adversary outcome, entries in [-1, 1]."""
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 1 or q.size < 1:
-        raise ValueError("loss outcome must be a one-dimensional vector")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("loss outcome must be finite")
-    if np.any(np.abs(q) > 1.0 + 1e-12):
-        raise ValueError("loss outcome entries must lie in [-1, 1]")
-    return q
-
-
-def instant_regret(q, i: int) -> np.ndarray:
-    """One-round regret increment ``q[i] * ones - q`` for followed expert i.
-
-    Expert indices are 0-based.  Entries always lie in [-2, 2] and the i-th
-    entry is zero.
-    """
-    q = as_loss_outcome(q)
-    i = int(i)
-    if not 0 <= i < q.size:
-        raise IndexError(f"expert index {i} out of range for n={q.size}")
-    return q[i] - q
-
-
-def final_regret(x) -> float:
-    """Score of a finished episode: the best expert's lead, max_i x_i."""
-    return float(np.max(as_regret_vector(x)))
-
-
-def clip_simplex(p, neg_tol: float = SIMPLEX_NEG_TOL) -> np.ndarray:
+def clip_simplex(p) -> np.ndarray:
     """Clip round-off negatives to zero and renormalize to sum one.
 
-    Entries below ``-neg_tol`` are an error, not round-off, and raise.
+    Entries below ``-SIMPLEX_NEG_TOL`` are an error, not round-off, and raise.
     Accepts a single weight vector or a batch with vectors in rows.
     """
     p = np.asarray(p, dtype=float)
-    if np.min(p) < -neg_tol:
+    if np.min(p) < -SIMPLEX_NEG_TOL:
         raise ValueError(
-            f"weight {np.min(p):.3e} below -{neg_tol:.0e}; not round-off"
+            f"weight {np.min(p):.3e} below -{SIMPLEX_NEG_TOL:.0e}; not round-off"
         )
     p = np.maximum(p, 0.0)
     s = p.sum(axis=-1, keepdims=True)
     if np.any(np.abs(s - 1.0) > 1e-6):
         raise ValueError("weights must already sum to one up to round-off")
     return p / s
-
-
-@dataclass(frozen=True)
-class AdversaryDistribution:
-    """Finite-support distribution over loss vectors in [-1, 1]^n.
-
-    support has one outcome per row; probs are the matching probabilities.
-    """
-
-    support: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if support.ndim != 2 or probs.ndim != 1:
-            raise ValueError("support must be (k, n), probs must be (k,)")
-        if support.shape[0] != probs.shape[0]:
-            raise ValueError("support and probs must have matching length")
-        if np.any(np.abs(support) > 1.0 + 1e-12):
-            raise ValueError("outcomes must lie in [-1, 1]^n")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be nonnegative and sum to one")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def n(self) -> int:
-        return self.support.shape[1]
-
-    def mean_outcome(self) -> np.ndarray:
-        """E[q], componentwise."""
-        return (self.probs[:, None] * self.support).sum(axis=0)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        idx = outcome_index(self.probs, rng.random())
-        return self.support[idx]
-
-
-def outcome_index(probs: np.ndarray, u: float) -> int:
-    """Index of the outcome selected by a uniform draw u in [0, 1)."""
-    cum = np.cumsum(probs)
-    return min(int(np.sum(cum <= u)), len(probs) - 1)
-
-
-def check_balanced(dist: AdversaryDistribution, tol: float = 1e-12) -> bool:
-    """True when every coordinate of E[q] agrees (E[q] = c * ones)."""
-    mean = dist.mean_outcome()
-    return bool(np.max(mean) - np.min(mean) <= tol)
-
-
-def check_symmetric(dist: AdversaryDistribution, tol: float = 1e-12) -> bool:
-    """True when the law of q equals the law of -q."""
-    table = {}
-    for row, p in zip(dist.support, dist.probs):
-        key = tuple(np.round(row / tol) * tol) if tol > 0 else tuple(row)
-        table[key] = table.get(key, 0.0) + p
-    for row, p in zip(dist.support, dist.probs):
-        key = tuple(np.round(-row / tol) * tol) if tol > 0 else tuple(-row)
-        if abs(table.get(key, 0.0) - p) > max(tol, 1e-12):
-            return False
-    return True
 
 
 def check_stopping_rate(delta: float, allow_one: bool = True) -> float:

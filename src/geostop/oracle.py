@@ -24,7 +24,6 @@ the bound survives exact dynamic programming on the interior.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +33,8 @@ from .potentials import PotentialHandle
 from .strategies import AdversaryStrategy, PlayerStrategy
 
 _MAX_SWEEPS = 2_000_000
-
-
-def tail_bound(t: float, delta: float) -> float:
-    """2 (1-delta)^{-t} / delta for t <= 0.
-
-    Bounds the expected regret swing still to come when t rounds remain
-    counted backwards; used to argue lattice truncation is benign.
-    """
-    if t > 0:
-        raise ValueError("t must be nonpositive")
-    check_stopping_rate(delta)
-    return 2.0 * (1.0 - delta) ** (-t) / delta
+# build_states enumerates the full (radius+1)^(n-1) grid before filtering
+_MAX_GRID_POINTS = 10**7
 
 
 def _span(states: np.ndarray) -> np.ndarray:
@@ -62,6 +51,13 @@ def build_states(n: int, radius: int) -> np.ndarray:
     radius = int(radius)
     if radius < 2 or radius % 2:
         raise ValueError("radius must be a positive even integer")
+    if (radius + 1) ** (n - 1) > _MAX_GRID_POINTS:
+        half = radius // 2
+        raise ValueError(
+            f"lattice too large: n={n}, radius={radius} would enumerate "
+            f"{radius + 1}^{n - 1} grid points to keep "
+            f"{(half + 1) ** n - half ** n} states (limit "
+            f"{_MAX_GRID_POINTS:.0e} grid points); lower n or the radius")
     axis = np.arange(-radius, radius + 1, 2)
     grid = np.array(list(itertools.product(axis, repeat=n - 1)), dtype=np.int64)
     return grid[_span(grid) <= radius]
@@ -142,10 +138,6 @@ class LatticeValueFunction:
         if margin is None:
             margin = self.radius // 2
         return _span(self.states) <= self.radius - margin
-
-    def values_dict(self) -> dict[tuple, float]:
-        return {tuple(s): 0.5 * (lo + hi) for s, lo, hi
-                in zip(self.states.tolist(), self.lower, self.upper)}
 
 
 def _transition_tables(states: np.ndarray, shifts: np.ndarray, radius: int):

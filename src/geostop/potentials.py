@@ -24,16 +24,13 @@ rows of shape (b, n).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .game import check_stopping_rate, clip_simplex
 from .specfun import (
-    DEFAULT_QUAD,
-    QuadratureSettings,
     composite_gauss_legendre,
     exp_time_nodes,
     gaussian_max_expectation,
@@ -154,7 +151,6 @@ class PotentialHandle:
     kappa: float | None = None
     eta: float | None = None
     shift_constant: float = 0.0
-    quad: QuadratureSettings = field(default=DEFAULT_QUAD)
 
     def __post_init__(self):
         if self.family not in ("exp_weights", "heat", "max"):
@@ -175,9 +171,6 @@ class PotentialHandle:
                 raise ValueError("n must be at least 2")
         if self.shift_constant < 0:
             raise ValueError("shift constant must be nonnegative")
-
-    def with_side(self, side: str) -> "PotentialHandle":
-        return replace(self, side=side)
 
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -200,44 +193,34 @@ class PotentialHandle:
         return max_gradient_geometric(X, self)
 
 
-def exp_handle(n: int, delta: float, eta: float | None = None,
-               quad: QuadratureSettings = DEFAULT_QUAD) -> PotentialHandle:
+def exp_handle(n: int, delta: float, eta: float | None = None) -> PotentialHandle:
     """Softmax upper-bound potential with the default rate unless given."""
     eta = default_eta(n, delta) if eta is None else float(eta)
-    return PotentialHandle("exp_weights", int(n), float(delta), "upper",
-                           eta=eta, quad=quad)
+    return PotentialHandle("exp_weights", int(n), float(delta), "upper", eta=eta)
 
 
-def heat_lower_handle(n: int, delta: float,
-                      quad: QuadratureSettings = DEFAULT_QUAD) -> PotentialHandle:
+def heat_lower_handle(n: int, delta: float) -> PotentialHandle:
     kappa = kappa_s(n, delta)
     return PotentialHandle("heat", int(n), float(delta), "lower", kappa=kappa,
-                           shift_constant=heat_shift_constant(n, delta, kappa),
-                           quad=quad)
+                           shift_constant=heat_shift_constant(n, delta, kappa))
 
 
-def heat_upper_handle(n: int, delta: float,
-                      quad: QuadratureSettings = DEFAULT_QUAD) -> PotentialHandle:
+def heat_upper_handle(n: int, delta: float) -> PotentialHandle:
     kappa = (1.0 - check_stopping_rate(delta, allow_one=False)) / delta
     return PotentialHandle("heat", int(n), float(delta), "upper", kappa=kappa,
-                           shift_constant=heat_shift_constant(n, delta, kappa),
-                           quad=quad)
+                           shift_constant=heat_shift_constant(n, delta, kappa))
 
 
-def max_lower_handle(n: int, delta: float,
-                     quad: QuadratureSettings = DEFAULT_QUAD) -> PotentialHandle:
+def max_lower_handle(n: int, delta: float) -> PotentialHandle:
     kappa = 2.0 * (1.0 - check_stopping_rate(delta, allow_one=False)) / delta
     return PotentialHandle("max", int(n), float(delta), "lower", kappa=kappa,
-                           shift_constant=max_shift_constant(n, delta, kappa),
-                           quad=quad)
+                           shift_constant=max_shift_constant(n, delta, kappa))
 
 
-def max_upper_handle(n: int, delta: float,
-                     quad: QuadratureSettings = DEFAULT_QUAD) -> PotentialHandle:
+def max_upper_handle(n: int, delta: float) -> PotentialHandle:
     kappa = kappa_m(n, delta)
     return PotentialHandle("max", int(n), float(delta), "upper", kappa=kappa,
-                           shift_constant=max_shift_constant(n, delta, kappa),
-                           quad=quad)
+                           shift_constant=max_shift_constant(n, delta, kappa))
 
 
 # ---------------------------------------------------------------------------
@@ -395,55 +378,30 @@ def max_gradient_fixed(x, t: float, kappa: float):
     return g[0] if single else g
 
 
-@dataclass(frozen=True)
-class RankedDecomposition:
-    """Stable descending order, scaled ranked gaps z, and the noise scale sigma."""
-
-    order: np.ndarray
-    z: np.ndarray
-    sigma: float
-
-
-def ranked_decomposition(x, t: float, kappa: float) -> RankedDecomposition:
-    """Sorted-coordinate statistics feeding the max-family closed form."""
-    sigma = _check_fixed_args(t, kappa)
-    X, single = _as_batch(x)
-    order, gaps = _ranked(X)
-    z = gaps / sigma
-    if single:
-        return RankedDecomposition(order[0], z[0], sigma)
-    return RankedDecomposition(order, z, sigma)
-
-
 # ---------------------------------------------------------------------------
 # geometric-horizon interface
 
 
-def _apply_shift(vals: np.ndarray, handle: PotentialHandle, side: str | None):
-    side = handle.side if side is None else side
-    if side not in ("lower", "upper"):
-        raise ValueError("side must be 'lower' or 'upper'")
-    return vals - handle.shift_constant if side == "lower" else vals + handle.shift_constant
-
-
-def _geometric_value(X, handle, side, value_batch):
-    t, w = exp_time_nodes(handle.delta, handle.quad)
+def _geometric_value(X, handle, value_batch):
+    t, w = exp_time_nodes(handle.delta)
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
     vals = (value_batch(X, sigmas) * w).sum(axis=-1)
-    return _apply_shift(vals, handle, side)
+    if handle.side == "lower":
+        return vals - handle.shift_constant
+    return vals + handle.shift_constant
 
 
 def _geometric_gradient(X, handle, grad_batch):
-    t, w = exp_time_nodes(handle.delta, handle.quad, order=_GRAD_TIME_ORDER)
+    t, w = exp_time_nodes(handle.delta, order=_GRAD_TIME_ORDER)
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
     g = (grad_batch(X, sigmas) * w[None, :, None]).sum(axis=1)
     return clip_simplex(g)
 
 
-def heat_potential_geometric(x, handle: PotentialHandle, side: str | None = None):
+def heat_potential_geometric(x, handle: PotentialHandle):
     """Exponentially time-weighted smoothed max, shifted down (lower) or up (upper)."""
     X, single = _as_batch(x)
-    vals = _geometric_value(X, handle, side, _heat_value_batch)
+    vals = _geometric_value(X, handle, _heat_value_batch)
     return float(vals[0]) if single else vals
 
 
@@ -455,10 +413,10 @@ def heat_gradient_geometric(x, handle: PotentialHandle):
     return g[0] if single else g
 
 
-def max_potential_geometric(x, handle: PotentialHandle, side: str | None = None):
+def max_potential_geometric(x, handle: PotentialHandle):
     """Exponentially time-weighted ranked potential, shifted down (lower) or up (upper)."""
     X, single = _as_batch(x)
-    vals = _geometric_value(X, handle, side, _max_value_batch)
+    vals = _geometric_value(X, handle, _max_value_batch)
     return float(vals[0]) if single else vals
 
 
@@ -569,47 +527,8 @@ def fd_hessian_batch(value_batch, X, steps=None) -> np.ndarray:
 
 
 _CENTRAL_STENCILS = {
-    2: (np.array([1.0, 0.0, -1.0]), np.array([1.0, -2.0, 1.0]), 1.0),
     3: (np.array([2.0, 1.0, -1.0, -2.0]),
         np.array([1.0, -2.0, 2.0, -1.0]), 2.0),
     4: (np.array([2.0, 1.0, 0.0, -1.0, -2.0]),
         np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
 }
-
-_ONESIDED_STENCILS = {
-    2: (np.array([0.0, 1.0, 2.0, 3.0]),
-        np.array([2.0, -5.0, 4.0, -1.0]), 1.0),
-    3: (np.array([0.0, 1.0, 2.0, 3.0, 4.0]),
-        np.array([-2.5, 9.0, -12.0, 7.0, -1.5]), 1.0),
-    4: (np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
-        np.array([3.0, -14.0, 26.0, -24.0, 11.0, -2.0]), 1.0),
-}
-
-
-def directional_derivatives(handle: PotentialHandle, x, q, order: int) -> float:
-    """Finite-difference directional derivative of the potential along q.
-
-    Supports orders 2, 3 and 4.  Near a tie of the max family the central
-    stencil straddles a kink in higher derivatives, so a one-sided stencil
-    is used and a RuntimeWarning is issued.
-    """
-    if order not in (2, 3, 4):
-        raise ValueError("order must be 2, 3 or 4")
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    h = fd_step(order, x)
-    one_sided = False
-    if handle.family == "max":
-        xs = np.sort(x)[::-1]
-        gaps = xs[:-1] - xs[1:]
-        limit = (order + 1) * h * max(np.max(np.abs(q)), 1e-300)
-        if np.any((gaps > 0) & (gaps < limit)):
-            one_sided = True
-            warnings.warn(
-                "near-tie in ranked coordinates; using one-sided stencil",
-                RuntimeWarning, stacklevel=2)
-    mults, coeffs, denom_scale = (
-        _ONESIDED_STENCILS if one_sided else _CENTRAL_STENCILS)[order]
-    pts = x[None, :] + (h * mults)[:, None] * q[None, :]
-    vals = handle.value_batch(pts)
-    return float(np.dot(coeffs, vals) / (denom_scale * h**order))

@@ -47,16 +47,6 @@ class QuadratureSettings:
 DEFAULT_QUAD = QuadratureSettings()
 
 
-def erf(z):
-    """Error function, vectorized."""
-    return special.erf(z)
-
-
-def erfc(z):
-    """Complementary error function, vectorized."""
-    return special.erfc(z)
-
-
 @functools.lru_cache(maxsize=64)
 def _leggauss(order: int):
     nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -94,20 +84,6 @@ def gaussian_max_expectation(n: int) -> float:
     nodes, weights = composite_gauss_legendre(edges, 16)
     cdf_pow = np.exp(n * special.log_ndtr(nodes))
     integrand = np.where(nodes > 0.0, 1.0 - cdf_pow, -cdf_pow)
-    return float(np.sum(weights * integrand))
-
-
-@functools.lru_cache(maxsize=256)
-def gaussian_absmax_expectation(n: int) -> float:
-    """E[max of n independent |standard normal| variables]."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    hi = math.sqrt(2.0 * math.log(2.0 * n)) + 12.0
-    edges = np.arange(0.0, hi + 1.0, 1.0)
-    nodes, weights = composite_gauss_legendre(edges, 16)
-    cdf = special.erf(nodes / math.sqrt(2.0))
-    integrand = 1.0 - cdf**n
     return float(np.sum(weights * integrand))
 
 

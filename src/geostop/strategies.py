@@ -12,12 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
-from .game import AdversaryDistribution, clip_simplex
 from .potentials import (
     PotentialHandle,
-    default_eta,
     exp_handle,
     heat_upper_handle,
     max_upper_handle,
@@ -26,14 +23,8 @@ from .potentials import (
 PLAYER_KINDS = ("exp", "heat", "max", "uniform", "follow_best")
 ADVERSARY_KINDS = ("heat", "max")
 
-# Enumerating sign patterns past this n is too large; sample instead.
+# Enumerating sign patterns past this n is too large.
 _ENUM_LIMIT = 20
-
-
-def exp_weights_player(x, n: int, delta: float) -> np.ndarray:
-    """Softmax weights exp(eta x_k)/sum with the default learning rate."""
-    eta = default_eta(n, delta)
-    return special.softmax(eta * np.asarray(x, dtype=float), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -80,8 +71,7 @@ def make_player(kind: str, n: int, delta: float) -> PlayerStrategy:
 def heat_adversary_support(n: int) -> np.ndarray:
     """All sign vectors with coordinate sum 0 (even n) or +-1 (odd n).
 
-    Rows are ordered lexicographically.  Enumeration is limited to
-    n <= 20; sample_heat_outcomes draws from the same law for larger n.
+    Rows are ordered lexicographically.  Enumeration is limited to n <= 20.
     """
     n = int(n)
     if n < 2:
@@ -94,55 +84,19 @@ def heat_adversary_support(n: int) -> np.ndarray:
     return np.array(rows)
 
 
-def sample_heat_outcomes(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw outcomes of the balanced sign-vector law for any n.
-
-    Picks the positive set uniformly among the valid sizes: n/2 for even n,
-    (n-1)/2 or (n+1)/2 with equal probability for odd n.
-    """
-    q = np.full((count, n), -1.0)
-    if n % 2 == 0:
-        sizes = np.full(count, n // 2)
-    else:
-        sizes = (n - 1) // 2 + (rng.random(count) < 0.5)
-    for row, k in enumerate(sizes):
-        pos = rng.choice(n, size=int(k), replace=False)
-        q[row, pos] = 1.0
-    return q
-
-
-def max_adversary(x) -> AdversaryDistribution:
-    """Half-half on +-q where q is +1 at the current leader and -1 elsewhere.
-
-    Ties go to the lowest index, matching follow_best.
-    """
-    x = np.asarray(x, dtype=float)
-    q = np.full(x.shape[-1], -1.0)
-    q[int(np.argmax(x))] = 1.0
-    return AdversaryDistribution(np.stack([q, -q]), np.array([0.5, 0.5]))
-
-
 @dataclass(frozen=True)
 class AdversaryStrategy:
     """A named outcome law; 'heat' ignores the state, 'max' tracks the leader."""
 
     kind: str
     n: int
-    _support: np.ndarray | None = field(default=None, repr=False)
+    _support: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ADVERSARY_KINDS:
             raise ValueError(f"unknown adversary {self.kind!r}")
-        if self.kind == "heat" and self._support is None:
-            object.__setattr__(self, "_support", heat_adversary_support(self.n))
-
-    def distribution(self, x=None) -> AdversaryDistribution:
-        if self.kind == "heat":
-            k = self._support.shape[0]
-            return AdversaryDistribution(self._support, np.full(k, 1.0 / k))
-        if x is None:
-            raise ValueError("the leader-tracking adversary needs the state")
-        return max_adversary(x)
+        support = heat_adversary_support(self.n) if self.kind == "heat" else None
+        object.__setattr__(self, "_support", support)
 
     def outcomes_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Per-state supports (b, k, n) and shared probabilities (k,)."""
@@ -152,6 +106,8 @@ class AdversaryStrategy:
             k = self._support.shape[0]
             support = np.broadcast_to(self._support, (b, k, self.n))
             return support, np.full(k, 1.0 / k)
+        # half-half on +-q, q = +1 at the leader (lowest index on ties,
+        # matching follow_best) and -1 elsewhere
         q = np.full((b, self.n), -1.0)
         q[np.arange(b), np.argmax(X, axis=1)] = 1.0
         return np.stack([q, -q], axis=1), np.array([0.5, 0.5])

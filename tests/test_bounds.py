@@ -5,7 +5,6 @@ import pytest
 
 from geostop.bounds import (
     BoundReport,
-    DiffusionConstants,
     ErrorConstants,
     REPORT_FIELDS,
     all_bounds,
@@ -16,16 +15,18 @@ from geostop.bounds import (
     max_bounds,
     ratio_to_sqrt_2logN,
 )
+from geostop.potentials import (heat_lower_handle, heat_upper_handle,
+                                max_lower_handle, max_upper_handle)
 from geostop.specfun import gaussian_max_expectation, laplace_inv1_bound
 
 
 def test_diffusion_constants_for_game():
-    dc = DiffusionConstants.for_game(3, 0.1)
     ratio = 9.0
-    np.testing.assert_allclose(dc.kappa_heat_lower, ratio * (0.5 + 1.0 / 6.0))
-    np.testing.assert_allclose(dc.kappa_heat_upper, ratio)
-    np.testing.assert_allclose(dc.kappa_max_lower, 2.0 * ratio)
-    np.testing.assert_allclose(dc.kappa_max_upper, 2.0 * ratio)
+    np.testing.assert_allclose(heat_lower_handle(3, 0.1).kappa,
+                               ratio * (0.5 + 1.0 / 6.0))
+    np.testing.assert_allclose(heat_upper_handle(3, 0.1).kappa, ratio)
+    np.testing.assert_allclose(max_lower_handle(3, 0.1).kappa, 2.0 * ratio)
+    np.testing.assert_allclose(max_upper_handle(3, 0.1).kappa, 2.0 * ratio)
 
 
 def test_exp_weights_bound_formula_identity():

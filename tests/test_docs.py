@@ -1,0 +1,46 @@
+"""The README's quick start runs and its library section names the
+package exports; the demos' imports from geostop resolve."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import geostop
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_readme_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    assert blocks, "README has no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    tree = ast.parse(demo.read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "geostop"
+             for alias in node.names]
+    assert names, f"{demo.name} imports nothing from geostop"
+    missing = [name for name in names if not hasattr(geostop, name)]
+    assert not missing, f"{demo.name} imports missing names: {missing}"
+
+
+def test_readme_library_section_names_the_exports():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("The package root re-exports"):
+                   text.index("## Command line")]
+    named = set(re.findall(r"`([A-Za-z_]\w*)`", section))
+    exported = {name for name in vars(geostop) if not name.startswith("_")
+                and not isinstance(getattr(geostop, name), type(geostop))}
+    assert exported <= named, sorted(exported - named)
+    unknown = {name for name in named - {"outcomes_batch"}
+               if not hasattr(geostop, name)}
+    assert not unknown, sorted(unknown)

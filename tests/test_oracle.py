@@ -8,7 +8,6 @@ from geostop.oracle import (
     player_sandwich,
     potential_upper_source,
     project_state,
-    tail_bound,
     value_iteration_adversary,
     value_iteration_player,
 )
@@ -28,16 +27,6 @@ def ply_half():
     lvf = value_iteration_player(make_player("exp", 2, 0.5), 2, 0.5, radius=20,
                                  upper_bound=potential_upper_source(handle))
     return lvf, handle
-
-
-def test_tail_bound_values_and_domain():
-    assert tail_bound(0.0, 0.5) == 4.0
-    assert tail_bound(-2.0, 0.5) == 1.0
-    assert tail_bound(0.0, 1.0) == 2.0
-    with pytest.raises(ValueError):
-        tail_bound(1.0, 0.5)
-    with pytest.raises(ValueError):
-        tail_bound(-2.0, 0.0)
 
 
 @pytest.mark.parametrize("n, radius, count", [(2, 4, 5), (3, 2, 7),
@@ -61,6 +50,20 @@ def test_build_states_rejects_bad_arguments():
         build_states(2, 3)
     with pytest.raises(ValueError):
         build_states(2, 0)
+
+
+def test_build_states_fails_fast_on_huge_grids():
+    # 61^5 grid points at the CLI's default radius; must raise before
+    # enumerating any of them, naming the (31^6 - 30^6) states it would keep
+    with pytest.raises(ValueError, match=r"n=6, radius=60 .* 158503681 states"):
+        build_states(6, 60)
+
+
+def test_oracle_command_rejects_a_huge_lattice():
+    from geostop.cli import main
+
+    assert main(["oracle", "--n", "6", "--delta", "0.1",
+                 "--adversary", "max"]) == 2
 
 
 def test_project_state_examples():
@@ -225,9 +228,6 @@ def test_lattice_accessors(adv_half):
     lo, hi = adv_half.bracket([4])
     assert lo <= hi
     assert adv_half.value([4]) == 0.5 * (lo + hi)
-    vals = adv_half.values_dict()
-    assert len(vals) == len(adv_half.states)
-    assert vals[(4,)] == adv_half.value([4])
     assert np.all(adv_half.width() >= 0.0)
     assert adv_half.interior_mask(4).sum() > adv_half.interior_mask(8).sum()
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy import integrate, special
 from geostop.potentials import (
     PotentialHandle,
     default_eta,
-    directional_derivatives,
     exp_gradient,
     exp_handle,
     exp_potential_geometric,
@@ -30,7 +30,6 @@ from geostop.potentials import (
     max_shift_constant,
     max_upper_handle,
     max_value_closed_origin,
-    ranked_decomposition,
 )
 
 RATIO = lambda d: (1.0 - d) / d
@@ -204,14 +203,6 @@ def test_max_gradient_matches_finite_differences():
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
-def test_ranked_decomposition_shapes():
-    dec = ranked_decomposition(np.array([0.0, 3.0, 1.0]), -1.0, 0.5)
-    np.testing.assert_array_equal(dec.order, [1, 2, 0])
-    assert dec.sigma == 1.0
-    assert np.all(dec.z >= 0.0)
-    assert dec.z.shape == (2,)
-
-
 @pytest.mark.parametrize("func", [heat_potential_fixed, max_potential_fixed])
 def test_fixed_time_domain_errors(func):
     with pytest.raises(ValueError):
@@ -261,7 +252,7 @@ def test_geometric_translation_covariance():
 def test_geometric_sides_differ_by_twice_the_shift():
     x = np.array([1.0, -1.0, 0.5])
     lo = heat_lower_handle(3, 0.1)
-    hi = lo.with_side("upper")
+    hi = replace(lo, side="upper")
     np.testing.assert_allclose(hi.value(x) - lo.value(x),
                                2.0 * lo.shift_constant, atol=1e-10)
 
@@ -330,20 +321,3 @@ def test_fd_hessian_symmetric_and_heat_convex():
     np.testing.assert_allclose(hess, hess.T, atol=1e-7)
     eigs = np.linalg.eigvalsh(hess)
     assert eigs.min() > -1e-6
-
-
-def test_directional_derivatives_symmetry():
-    # odd-order directional derivatives vanish at the symmetric point when
-    # the direction is itself sign-symmetric under coordinate exchange
-    h = heat_lower_handle(2, 0.2)
-    q = np.array([1.0, -1.0])
-    d3 = directional_derivatives(h, np.zeros(2), q, 3)
-    assert abs(d3) < 1e-4
-    d2 = directional_derivatives(h, np.zeros(2), q, 2)
-    assert d2 > 0.0
-
-
-def test_directional_derivatives_order_validation():
-    h = heat_lower_handle(2, 0.2)
-    with pytest.raises(ValueError):
-        directional_derivatives(h, np.zeros(2), np.array([1.0, -1.0]), 5)

@@ -6,6 +6,7 @@ import pytest
 from geostop.simulate import (
     SimulationConfig,
     SimulationResult,
+    _select,
     horizon_from_uniform,
     play_episode,
     run,
@@ -51,6 +52,17 @@ def test_trial_rng_streams_are_stable_and_distinct():
     c = trial_rng(123, 6).random(4)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_select_matches_cumulative_bins():
+    # the draw contract of both simulate paths: index i with
+    # cum[i-1] <= u < cum[i]
+    cum = np.cumsum([0.2, 0.3, 0.5])[None, :]
+    u = np.array([0.0, 0.1999, 0.2, 0.4999, 0.5, 0.999999])
+    np.testing.assert_array_equal(_select(cum.repeat(len(u), 0), u),
+                                  [0, 0, 1, 1, 2, 2])
+    # cumulative round-off can push u past the last edge; index must clamp
+    assert _select(np.array([[0.5, 1.0]]), np.array([1.0]))[0] == 1
 
 
 def test_run_is_reproducible():

@@ -9,7 +9,6 @@ from geostop.specfun import (
     QuadratureSettings,
     composite_gauss_legendre,
     exp_time_nodes,
-    gaussian_absmax_expectation,
     gaussian_max_expectation,
     laplace_inv1_bound,
     laplace_inv32_integral,
@@ -43,15 +42,6 @@ def test_gaussian_max_expectation_vs_quadrature(n):
 def test_gaussian_max_expectation_monotone():
     vals = [gaussian_max_expectation(n) for n in range(1, 12)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_gaussian_absmax_values():
-    # |N(0,1)| has mean sqrt(2/pi); the two-variable value is 2/sqrt(pi)
-    np.testing.assert_allclose(gaussian_absmax_expectation(1),
-                               math.sqrt(2.0 / math.pi), atol=1e-12)
-    np.testing.assert_allclose(gaussian_absmax_expectation(2),
-                               2.0 / SQRT_PI, atol=1e-12)
-    assert gaussian_absmax_expectation(2) > gaussian_absmax_expectation(1)
 
 
 def test_laplace_sqrt_integral_at_one():

@@ -1,29 +1,48 @@
 import numpy as np
 import pytest
+from scipy import special
 
-from geostop.game import AdversaryDistribution, check_balanced, check_symmetric
-from geostop.potentials import heat_upper_handle
+from geostop.potentials import default_eta, heat_upper_handle
 from geostop.strategies import (
     ADVERSARY_KINDS,
     PLAYER_KINDS,
-    AdversaryStrategy,
     PlayerStrategy,
-    exp_weights_player,
     heat_adversary_support,
     make_adversary,
     make_player,
-    max_adversary,
-    sample_heat_outcomes,
 )
+
+
+def _law(adversary, x):
+    """Outcome rows and probabilities the adversary plays at state x."""
+    support, probs = adversary.outcomes_batch(np.asarray(x, dtype=float))
+    return support[0], probs
+
+
+def _is_balanced(support, probs):
+    """Every coordinate of E[q] agrees."""
+    mean = probs @ support
+    return np.ptp(mean) <= 1e-12
+
+
+def _is_symmetric(support, probs):
+    """The law of q equals the law of -q."""
+    law = {}
+    for row, p in zip(map(tuple, support), probs):
+        law[row] = law.get(row, 0.0) + p
+    return all(abs(law.get(tuple(-np.array(row)), 0.0) - p) <= 1e-12
+               for row, p in law.items())
 
 
 def test_exp_weights_player_is_softmax():
     x = np.array([2.0, 0.0, -1.0])
-    w = exp_weights_player(x, 3, 0.3)
+    w = make_player("exp", 3, 0.3).weights(x)
+    np.testing.assert_allclose(w, special.softmax(default_eta(3, 0.3) * x),
+                               atol=1e-15)
     assert w[0] > w[1] > w[2]
     np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
     # translation along the all-ones direction leaves weights alone
-    np.testing.assert_allclose(exp_weights_player(x + 7.0, 3, 0.3), w,
+    np.testing.assert_allclose(make_player("exp", 3, 0.3).weights(x + 7.0), w,
                                atol=1e-12)
 
 
@@ -92,31 +111,39 @@ def test_heat_adversary_support_properties():
         assert all(tuple(-r) in keys for r in rows)
 
 
+def test_law_checks_reject_tilted_and_shifted_laws():
+    pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    assert _is_balanced(pair, np.array([0.5, 0.5]))
+    assert _is_symmetric(pair, np.array([0.5, 0.5]))
+    assert not _is_balanced(pair, np.array([0.75, 0.25]))
+    assert not _is_symmetric(pair, np.array([0.75, 0.25]))
+    # balanced but not symmetric: constant shift on every expert
+    assert _is_balanced(np.array([[0.5, 0.5]]), np.array([1.0]))
+    assert not _is_symmetric(np.array([[0.5, 0.5]]), np.array([1.0]))
+
+
 def test_heat_adversary_distribution_balanced_and_symmetric():
-    for n in (2, 3, 4):
-        dist = make_adversary("heat", n).distribution()
-        assert check_balanced(dist)
-        assert check_symmetric(dist)
-
-
-def test_sample_heat_outcomes_matches_support_law():
-    rng = np.random.default_rng(42)
-    draws = sample_heat_outcomes(3, 2000, rng)
-    sums = draws.sum(axis=1)
-    assert set(np.unique(sums)) <= {-1.0, 1.0}
-    # the sign of the sum is a fair coin
-    assert abs(np.mean(sums)) < 0.1
-    np.testing.assert_allclose(draws.mean(axis=0), np.zeros(3), atol=0.06)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4, 5):
+        heat = make_adversary("heat", n)
+        for x in (np.zeros(n), rng.normal(size=n) * 4.0):
+            support, probs = _law(heat, x)
+            assert _is_balanced(support, probs)
+            assert _is_symmetric(support, probs)
 
 
 def test_max_adversary_targets_leader():
-    dist = max_adversary(np.array([0.0, 3.0, -1.0]))
-    assert check_balanced(dist) and check_symmetric(dist)
-    up = dist.support[dist.support[:, 1] == 1.0][0]
+    mx = make_adversary("max", 3)
+    support, probs = _law(mx, [0.0, 3.0, -1.0])
+    assert _is_balanced(support, probs) and _is_symmetric(support, probs)
+    up = support[support[:, 1] == 1.0][0]
     np.testing.assert_array_equal(up, [-1.0, 1.0, -1.0])
     # ties resolve to the lowest index, mirroring follow_best
-    tied = max_adversary(np.array([2.0, 2.0]))
-    assert {tuple(r) for r in tied.support} == {(1.0, -1.0), (-1.0, 1.0)}
+    support, _ = _law(make_adversary("max", 2), [2.0, 2.0])
+    np.testing.assert_array_equal(support, [[1.0, -1.0], [-1.0, 1.0]])
+    support, probs = _law(make_adversary("max", 4), [1.0, 5.0, 5.0, 5.0])
+    assert _is_balanced(support, probs) and _is_symmetric(support, probs)
+    np.testing.assert_array_equal(support[0], [-1.0, 1.0, -1.0, -1.0])
 
 
 def test_adversary_strategy_outcomes_batch():
@@ -133,11 +160,6 @@ def test_adversary_strategy_outcomes_batch():
     assert support.shape == (2, 2, 3)
     np.testing.assert_array_equal(support[0, 0], [-1.0, 1.0, -1.0])
     np.testing.assert_array_equal(support[1, 0], [1.0, -1.0, -1.0])
-
-
-def test_max_adversary_needs_state():
-    with pytest.raises(ValueError):
-        make_adversary("max", 3).distribution()
 
 
 def test_unknown_adversary_kind():
