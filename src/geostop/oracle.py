@@ -19,6 +19,17 @@ outside the domain (``upper_bound=``).  If the candidate really dominates
 the value out there, the resulting fixed point dominates the value on the
 whole domain, so comparing it back against the candidate certifies that
 the bound survives exact dynamic programming on the interior.
+
+The engine does no per-state Python work.  States are indexed by a
+mixed-radix integer key whose order is their lexicographic order, so the
+transition tables come from batched projections of the (state, outcome)
+targets, about a million at a time, and a ``searchsorted`` over the keys.
+The player sweeps keep their tables as (outcomes, states) arrays, so a
+sweep is one gather and a max over axis 0; exits of the optimistic run
+gather from precomputed candidate values stored past the end of the value
+vector.
+Lattices whose tables would exceed 10^7 entries (states times the 2^n
+vertex outcomes) are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -33,8 +44,10 @@ from .potentials import PotentialHandle
 from .strategies import AdversaryStrategy, PlayerStrategy
 
 _MAX_SWEEPS = 2_000_000
-# build_states enumerates the full (radius+1)^(n-1) grid before filtering
-_MAX_GRID_POINTS = 10**7
+# transition-table entries (states x 2^n vertex outcomes) a lattice may need
+_MAX_TABLE_ENTRIES = 10**7
+# (state, outcome) targets projected per batch when building the tables
+_TABLE_BLOCK = 2**20
 
 
 def _span(states: np.ndarray) -> np.ndarray:
@@ -45,46 +58,69 @@ def _span(states: np.ndarray) -> np.ndarray:
 
 
 def build_states(n: int, radius: int) -> np.ndarray:
-    """Even-lattice reduced states with span(d, 0) <= radius, lexicographic."""
+    """Even-lattice reduced states with span(d, 0) <= radius, lexicographic.
+
+    Prefixes grow one coordinate at a time and keep only rows whose running
+    span fits, so no row outside the domain is ever built.  Appending the
+    even values in increasing order to lexicographically sorted prefixes
+    keeps the rows sorted.
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
     radius = int(radius)
     if radius < 2 or radius % 2:
         raise ValueError("radius must be a positive even integer")
-    if (radius + 1) ** (n - 1) > _MAX_GRID_POINTS:
-        half = radius // 2
+    half = radius // 2
+    count = (half + 1) ** n - half ** n
+    entries = count * 2 ** n
+    if entries > _MAX_TABLE_ENTRIES:
         raise ValueError(
-            f"lattice too large: n={n}, radius={radius} would enumerate "
-            f"{radius + 1}^{n - 1} grid points to keep "
-            f"{(half + 1) ** n - half ** n} states (limit "
-            f"{_MAX_GRID_POINTS:.0e} grid points); lower n or the radius")
+            f"lattice too large: n={n}, radius={radius} would keep {count} "
+            f"states, whose transition tables over the {2 ** n} vertex "
+            f"outcomes hold {entries} entries (limit "
+            f"{_MAX_TABLE_ENTRIES:.0e}); lower n or the radius")
     axis = np.arange(-radius, radius + 1, 2)
-    grid = np.array(list(itertools.product(axis, repeat=n - 1)), dtype=np.int64)
-    return grid[_span(grid) <= radius]
+    states = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n - 1):
+        rows = np.repeat(states, axis.size, axis=0)
+        rows = np.hstack([rows, np.tile(axis, states.shape[0])[:, None]])
+        states = rows[_span(rows) <= radius]
+    return states
 
 
-def _ceil_even(v: int) -> int:
+def _lattice_key(d: np.ndarray, radius: int) -> np.ndarray:
+    """Mixed-radix integer key of even states in [-radius, radius]^(n-1).
+
+    Digit j is (d_j + radius) / 2 in base radius + 1, first coordinate most
+    significant, so lexicographic order of the states is the order of keys.
+    """
+    d = np.asarray(d, dtype=np.int64)
+    place = (radius + 1) ** np.arange(d.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return ((d + radius) // 2) @ place
+
+
+def _ceil_even(v):
     return 2 * ((v + 1) // 2)
 
 
-def project_state(d: np.ndarray, radius: int) -> tuple[np.ndarray, int]:
-    """Nearest in-domain state under the sup norm, and the distance moved.
+def project_state(d: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest in-domain states under the sup norm, and the distances moved.
 
-    Chooses a width-``radius`` window containing zero, balancing how far
+    ``d`` holds states along its last axis, in a batch of any shape.  Each
+    one chooses a width-``radius`` window containing zero, balancing how far
     the top and bottom of the state must move, then clips.
     """
-    hi = int(max(d.max(), 0))
-    lo = int(min(d.min(), 0))
-    excess = hi - lo - radius
-    if excess <= 0:
-        return d, 0
-    m_top = min(hi, _ceil_even(excess // 2))
+    d = np.asarray(d)
+    hi = np.maximum(d.max(axis=-1), 0)
+    lo = np.minimum(d.min(axis=-1), 0)
+    excess = np.maximum(hi - lo - radius, 0)
+    m_top = np.minimum(hi, _ceil_even(excess // 2))
     m_bot = excess - m_top
-    if m_bot > -lo:
-        m_bot = -lo
-        m_top = excess - m_bot
-    clipped = np.clip(d, lo + m_bot, hi - m_top)
-    return clipped, max(m_top, m_bot)
+    over = m_bot > -lo
+    m_bot = np.where(over, -lo, m_bot)
+    m_top = np.where(over, excess - m_bot, m_top)
+    clipped = np.clip(d, (lo + m_bot)[..., None], (hi - m_top)[..., None])
+    return clipped, np.maximum(m_top, m_bot)
 
 
 @dataclass(frozen=True)
@@ -106,18 +142,17 @@ class LatticeValueFunction:
     fixed_point_gap: float
     sweeps: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index",
-                           {tuple(s): i for i, s in enumerate(self.states.tolist())})
-
     def state_index(self, x) -> int:
         x = np.asarray(x)
         if x.shape[-1] == self.n:
             x = x[..., :-1] - x[..., -1:]
-        key = tuple(int(v) for v in np.atleast_1d(x))
-        if key not in self._index:
-            raise KeyError(f"state {key} outside the truncated lattice")
-        return self._index[key]
+        x = np.atleast_1d(x)
+        if x.shape == (self.n - 1,) and np.all(np.abs(x) <= self.radius):
+            keys = _lattice_key(self.states, self.radius)
+            i = int(np.searchsorted(keys, _lattice_key(x, self.radius)))
+            if i < keys.size and np.array_equal(self.states[i], x):
+                return i
+        raise KeyError(f"state {tuple(x.tolist())} outside the truncated lattice")
 
     def bracket(self, x) -> tuple[float, float]:
         i = self.state_index(x)
@@ -141,18 +176,22 @@ class LatticeValueFunction:
 
 
 def _transition_tables(states: np.ndarray, shifts: np.ndarray, radius: int):
-    """Index and projection-distance tables for d -> d + shift."""
-    index = {tuple(s): i for i, s in enumerate(states.tolist())}
-    s_count = states.shape[0]
-    k_count = shifts.shape[1] if shifts.ndim == 3 else shifts.shape[0]
-    nxt = np.empty((s_count, k_count), dtype=np.int64)
-    dist = np.zeros((s_count, k_count))
-    for si, d in enumerate(states):
-        for ki in range(k_count):
-            target = d + shifts[si, ki] if shifts.ndim == 3 else d + shifts[ki]
-            proj, moved = project_state(target, radius)
-            nxt[si, ki] = index[tuple(proj.tolist())]
-            dist[si, ki] = moved
+    """Index and projection-distance tables for d -> d + shift, shape (S, K).
+
+    ``shifts`` is (K, n-1), shared by every state, or (S, K, n-1).  Targets
+    are projected in blocks of about _TABLE_BLOCK entries, which bounds the
+    temporaries of the largest lattices to a few hundred MB.
+    """
+    shifts = np.broadcast_to(shifts, states.shape[:1] + shifts.shape[-2:])
+    keys = _lattice_key(states, radius)
+    nxt = np.empty(shifts.shape[:2], dtype=np.int64)
+    dist = np.empty(shifts.shape[:2])
+    step = max(1, _TABLE_BLOCK // shifts.shape[1])
+    for start in range(0, states.shape[0], step):
+        rows = slice(start, start + step)
+        proj, moved = project_state(states[rows, None, :] + shifts[rows], radius)
+        nxt[rows] = np.searchsorted(keys, _lattice_key(proj, radius))
+        dist[rows] = moved
     return nxt, dist
 
 
@@ -238,24 +277,39 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     lin = (weights[:, None, :] * outcomes[None, :, :]).sum(axis=2) \
         - outcomes[None, :, -1]
     nxt, dist = _transition_tables(states, shifts, radius)
+    # sweeps gather and reduce over outcomes along axis 0 of (K, S) tables
+    lin, nxt, dist = (np.ascontiguousarray(a.T) for a in (lin, nxt, dist))
+
+    def best(cand):
+        return delta * g + (1.0 - delta) * cand.max(axis=0)
 
     def update_lo(v):
-        return delta * g + (1.0 - delta) * (lin + v[nxt] - dist).max(axis=1)
+        cand = v[nxt]
+        cand += lin
+        cand -= dist
+        return best(cand)
 
     if upper_bound is None:
         def update_hi(v):
-            return delta * g + (1.0 - delta) * (lin + v[nxt] + dist).max(axis=1)
+            cand = v[nxt]
+            cand += lin
+            cand += dist
+            return best(cand)
     else:
-        exits = dist > 0
-        si, ki = np.nonzero(exits)
+        # exits in state-major order: the batch order the candidate sees
+        # can move the last bits of its values
+        si, ki = np.nonzero(dist.T > 0)
         targets = states[si] + shifts[ki]
         full = np.hstack([targets, np.zeros((targets.shape[0], 1), dtype=np.int64)])
-        exit_vals = np.zeros_like(dist)
-        exit_vals[exits] = np.asarray(upper_bound(full.astype(float)), dtype=float)
+        exit_vals = np.asarray(upper_bound(full.astype(float)), dtype=float)
+        # exiting entries read past the end of v, from the exit values
+        gather = nxt.copy()
+        gather[ki, si] = states.shape[0] + np.arange(si.size)
 
         def update_hi(v):
-            cand = np.where(exits, exit_vals, v[nxt])
-            return delta * g + (1.0 - delta) * (lin + cand).max(axis=1)
+            cand = np.concatenate([v, exit_vals])[gather]
+            cand += lin
+            return best(cand)
 
     v_lo, v_hi, residual, gap, sweeps = _iterate(g, delta, tol,
                                                  update_lo, update_hi)

@@ -1,7 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from geostop import oracle
 from geostop.oracle import (
+    _transition_tables,
     adversary_sandwich,
     build_states,
     ordering_check,
@@ -11,7 +17,7 @@ from geostop.oracle import (
     value_iteration_adversary,
     value_iteration_player,
 )
-from geostop.potentials import exp_handle
+from geostop.potentials import exp_handle, heat_upper_handle, max_upper_handle
 from geostop.strategies import make_adversary, make_player
 
 
@@ -59,6 +65,25 @@ def test_build_states_fails_fast_on_huge_grids():
         build_states(6, 60)
 
 
+def test_build_states_five_experts():
+    states = build_states(5, 30)
+    assert states.shape == (16 ** 5 - 15 ** 5, 4) == (289201, 4)
+    assert not np.any(states % 2)
+    hi = np.maximum(states.max(axis=1), 0)
+    lo = np.minimum(states.min(axis=1), 0)
+    assert np.all(hi - lo <= 30)
+    # strictly increasing in lexicographic order: sorted, no duplicates
+    step = np.diff(states, axis=0)
+    first = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+    assert np.all(first > 0)
+
+
+def test_build_states_refuses_by_table_size():
+    # 4,329,151 states times 32 vertex outcomes exceed the 10^7 limit
+    with pytest.raises(ValueError, match=r"n=5, radius=60 .* 4329151 states"):
+        build_states(5, 60)
+
+
 def test_oracle_command_rejects_a_huge_lattice():
     from geostop.cli import main
 
@@ -77,6 +102,107 @@ def test_project_state_examples():
     proj, moved = project_state(inside, 8)
     np.testing.assert_array_equal(proj, inside)
     assert moved == 0
+
+
+def _project_one(d, radius):
+    """Scalar reference for project_state: one state at a time."""
+    hi = int(max(d.max(), 0))
+    lo = int(min(d.min(), 0))
+    excess = hi - lo - radius
+    if excess <= 0:
+        return d, 0
+    m_top = min(hi, 2 * ((excess // 2 + 1) // 2))
+    m_bot = excess - m_top
+    if m_bot > -lo:
+        m_bot = -lo
+        m_top = excess - m_bot
+    return np.clip(d, lo + m_bot, hi - m_top), max(m_top, m_bot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 5), half=st.integers(1, 10), data=st.data())
+def test_batched_projection_matches_the_scalar_reference(n, half, data):
+    radius = 2 * half
+    rows = data.draw(st.integers(1, 12))
+    coords = data.draw(st.lists(st.integers(-radius - 4, radius + 4),
+                                min_size=rows * (n - 1),
+                                max_size=rows * (n - 1)))
+    d = 2 * np.array(coords, dtype=np.int64).reshape(rows, 1, n - 1)
+    proj, moved = project_state(d, radius)
+    assert proj.shape == d.shape and moved.shape == (rows, 1)
+    for r in range(rows):
+        want, want_moved = _project_one(d[r, 0], radius)
+        np.testing.assert_array_equal(proj[r, 0], want)
+        assert moved[r, 0] == want_moved
+
+
+def _tables_by_loop(states, shifts, radius):
+    """Dict-and-loop reference for _transition_tables."""
+    index = {tuple(s): i for i, s in enumerate(states.tolist())}
+    per_state = shifts if shifts.ndim == 3 else np.broadcast_to(
+        shifts, (len(states),) + shifts.shape)
+    nxt = np.empty(per_state.shape[:2], dtype=np.int64)
+    dist = np.zeros(per_state.shape[:2])
+    for si, d in enumerate(states):
+        for ki, shift in enumerate(per_state[si]):
+            proj, moved = _project_one(d + shift, radius)
+            nxt[si, ki] = index[tuple(proj.tolist())]
+            dist[si, ki] = moved
+    return nxt, dist
+
+
+@pytest.mark.parametrize("block", [2**20, 20])
+@pytest.mark.parametrize("law", ["vertices", "heat", "max"])
+def test_transition_tables_match_the_loop(law, block, monkeypatch):
+    # a 20-entry block splits the 61 states into many projection batches
+    monkeypatch.setattr(oracle, "_TABLE_BLOCK", block)
+    n, radius = 3, 8
+    states = build_states(n, radius)
+    if law == "vertices":
+        outcomes = np.array(list(itertools.product((-1, 1), repeat=n)))
+        shifts = outcomes[:, -1:] - outcomes[:, :-1]
+    else:
+        x_full = np.hstack([states, np.zeros((len(states), 1))])
+        support, _ = make_adversary(law, n).outcomes_batch(x_full)
+        shifts = (support[:, :, -1:] - support[:, :, :-1]).astype(np.int64)
+    nxt, dist = _transition_tables(states, shifts, radius)
+    want_nxt, want_dist = _tables_by_loop(states, shifts, radius)
+    np.testing.assert_array_equal(nxt, want_nxt)
+    np.testing.assert_array_equal(dist, want_dist)
+    assert np.any(dist > 0)
+
+
+# sweeps, residual, fixed_point_gap and the origin bracket at n=3, r=20,
+# delta=0.1, as the loop-built tables and (S, K) sweeps gave them; any
+# change in the order of the sweep arithmetic shows up here
+_PINNED = {
+    ("adversary", "heat"): (179, 1.0349889834060377e-09, 9.31490085065434e-09,
+                            2.4228216118855586, 2.5157065942138184),
+    ("adversary", "max"): (177, 1.0210445822167458e-09, 9.189401239950712e-09,
+                           2.588724311910788, 2.721753941220505),
+    ("player", "exp"): (180, 1.0853291598778014e-09, 9.767962438900213e-09,
+                        3.1735874473429275, 3.218342059951989),
+    ("player", "max"): (151, 1.0938290273543316e-09, 9.844461246188985e-09,
+                        2.8911065771376565, 3.2008669779216627),
+    ("player", "heat"): (153, 1.0314771259345434e-09, 9.283294133410891e-09,
+                         3.118950212983792, 3.4759294536511645),
+}
+_UPPER_HANDLES = {"exp": exp_handle, "max": max_upper_handle,
+                  "heat": heat_upper_handle}
+
+
+@pytest.mark.parametrize("role, kind", list(_PINNED))
+def test_pinned_outputs(role, kind):
+    n, radius, delta = 3, 20, 0.1
+    if role == "adversary":
+        lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
+                                        radius=radius)
+    else:
+        source = potential_upper_source(_UPPER_HANDLES[kind](n, delta))
+        lvf = value_iteration_player(make_player(kind, n, delta), n, delta,
+                                     radius=radius, upper_bound=source)
+    got = (lvf.sweeps, lvf.residual, lvf.fixed_point_gap) + lvf.bracket([0, 0])
+    assert got == _PINNED[role, kind]
 
 
 def test_project_state_random_targets_land_in_domain():
@@ -225,6 +351,11 @@ def test_lattice_accessors(adv_half):
     assert adv_half.state_index([6.0, 2.0]) == i  # full state, pinned shift
     with pytest.raises(KeyError):
         adv_half.state_index([40])
+    # off-lattice points raise instead of sharing a neighbour's key
+    for off in ([3], [4.5], [-21], [0, 0, 0]):
+        with pytest.raises(KeyError):
+            adv_half.state_index(off)
+    assert adv_half.state_index([4.0]) == i
     lo, hi = adv_half.bracket([4])
     assert lo <= hi
     assert adv_half.value([4]) == 0.5 * (lo + hi)
