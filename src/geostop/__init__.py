@@ -16,27 +16,18 @@ from .specfun import (
     gaussian_max_expectation,
     laplace_inv1_bound,
     laplace_inv32_integral,
-    laplace_sqrt_integral,
 )
 from .potentials import (
     PotentialHandle,
     default_eta,
-    exp_gradient,
     exp_handle,
-    exp_potential_geometric,
-    heat_gradient_fixed,
-    heat_gradient_geometric,
     heat_lower_handle,
     heat_potential_fixed,
-    heat_potential_geometric,
     heat_upper_handle,
     kappa_m,
     kappa_s,
-    max_gradient_fixed,
-    max_gradient_geometric,
     max_lower_handle,
     max_potential_fixed,
-    max_potential_geometric,
     max_upper_handle,
 )
 from .strategies import (
@@ -62,7 +53,6 @@ from .simulate import (
     SimulationResult,
     play_episode,
     run,
-    sample_horizon,
 )
 from .oracle import (
     LatticeValueFunction,

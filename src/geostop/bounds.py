@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import special
 
-from . import potentials
-from .potentials import kappa_m, kappa_s
+from .potentials import (fd_step, heat_potential_fixed, kappa_m, kappa_s,
+                         max_potential_fixed)
 from .specfun import (
     gaussian_max_expectation,
     laplace_inv1_bound,
@@ -56,27 +56,38 @@ class ErrorConstants:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, mode="user_supplied")
 
 
-def _estimation_grid(n: int, delta: float, seed: int, nx: int, nt: int):
+# states and times of the estimation grid
+_GRID_STATES = 20
+_GRID_TIMES = 7
+
+# central differences along a direction: offsets, coefficients, divisor
+_CENTRAL_STENCILS = {
+    3: (np.array([2.0, 1.0, -1.0, -2.0]),
+        np.array([1.0, -2.0, 2.0, -1.0]), 2.0),
+    4: (np.array([2.0, 1.0, 0.0, -1.0, -2.0]),
+        np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
+}
+
+
+def _estimation_grid(n: int, delta: float, seed: int):
     rng = np.random.default_rng(seed)
     radius = 10.0 / math.sqrt(delta)
-    raw = rng.standard_normal((nx, n))
+    raw = rng.standard_normal((_GRID_STATES, n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    xs = raw * (radius * rng.random((nx, 1)) ** (1.0 / n))
+    xs = raw * (radius * rng.random((_GRID_STATES, 1)) ** (1.0 / n))
     xs[0] = 0.0
-    if nx > 1:
-        xs[1] = np.linspace(0.0, 1e-3 * (n - 1), n)  # near-tie cluster
-    ts = -np.exp(np.linspace(math.log(delta), math.log(10.0), nt))
+    xs[1] = np.linspace(0.0, 1e-3 * (n - 1), n)  # near-tie cluster
+    ts = -np.exp(np.linspace(math.log(delta), math.log(10.0), _GRID_TIMES))
     return xs, ts
 
 
 def _directional_scan(value_batch, xs, ts, qs, order: int) -> float:
     """max over the grid of |t|^p |D^order u(x,t)[q,..,q]|, p = 1 or 3/2."""
-    mults, coeffs, denom = potentials._CENTRAL_STENCILS[order]
+    mults, coeffs, denom = _CENTRAL_STENCILS[order]
     power = 1.0 if order == 3 else 1.5
-    base = potentials._FD_STEP[order]
     worst = 0.0
     for x in xs:
-        h = base * max(1.0, float(np.max(np.abs(x))))
+        h = fd_step(order, x)
         for q in qs:
             pts = x[None, :] + (h * mults)[:, None] * q[None, :]
             for t in ts:
@@ -94,8 +105,8 @@ def _cube_directions(n: int, rng: np.random.Generator, extra: int = 12):
     return qs
 
 
-def estimate_error_constants(n: int, delta: float, seed: int = 0,
-                             nx: int = 20, nt: int = 7) -> ErrorConstants:
+def estimate_error_constants(n: int, delta: float,
+                             seed: int = 0) -> ErrorConstants:
     """Scan finite-difference derivative sizes over a deterministic grid.
 
     States are drawn in a ball of radius 10/sqrt(delta) around the origin
@@ -105,7 +116,7 @@ def estimate_error_constants(n: int, delta: float, seed: int = 0,
     families.
     """
     rng = np.random.default_rng(seed + 1)
-    xs, ts = _estimation_grid(n, delta, seed, nx, nt)
+    xs, ts = _estimation_grid(n, delta, seed)
 
     support = heat_adversary_support(n) if n <= 20 else None
     if support is not None:
@@ -118,16 +129,16 @@ def estimate_error_constants(n: int, delta: float, seed: int = 0,
     k_hi = (1.0 - delta) / delta
 
     def heat_lo(pts, t):
-        return potentials.heat_potential_fixed(pts, t, k_lo)
+        return heat_potential_fixed(pts, t, k_lo)
 
     def heat_hi(pts, t):
-        return potentials.heat_potential_fixed(pts, t, k_hi)
+        return heat_potential_fixed(pts, t, k_hi)
 
     def max_lo(pts, t):
-        return potentials.max_potential_fixed(pts, t, 2.0 * k_hi)
+        return max_potential_fixed(pts, t, 2.0 * k_hi)
 
     def max_hi(pts, t):
-        return potentials.max_potential_fixed(pts, t, kappa_m(n, delta))
+        return max_potential_fixed(pts, t, kappa_m(n, delta))
 
     leader_qs = []
     for x in xs:

@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import (ErrorConstants, REPORT_FIELDS, comparison_curves,
                      estimate_error_constants, exp_weights_bound, heat_bounds,
                      max_bounds)
-from .oracle import (adversary_sandwich, player_sandwich,
+from .oracle import (adversary_sandwich, check_lattice, player_sandwich,
                      potential_upper_source, value_iteration_adversary,
                      value_iteration_player)
 from .potentials import (exp_handle, heat_lower_handle, heat_upper_handle,
@@ -367,6 +367,8 @@ def cmd_oracle(parser, ns) -> int:
         parser.error("give exactly one of --adversary or --player")
     n, delta = int(ns["n"]), float(ns["delta"])
     radius, tol = int(ns["radius"]), float(ns["tol"])
+    # refuse an oversized lattice before estimating any error constant
+    check_lattice(n, radius)
 
     if ns["adversary"] is not None:
         kind = ns["adversary"]

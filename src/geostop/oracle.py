@@ -57,17 +57,14 @@ def _span(states: np.ndarray) -> np.ndarray:
     return hi - lo
 
 
-def build_states(n: int, radius: int) -> np.ndarray:
-    """Even-lattice reduced states with span(d, 0) <= radius, lexicographic.
+def check_lattice(n: int, radius: int) -> None:
+    """Raise ValueError unless the (n, radius) lattice is valid and fits.
 
-    Prefixes grow one coordinate at a time and keep only rows whose running
-    span fits, so no row outside the domain is ever built.  Appending the
-    even values in increasing order to lexicographically sorted prefixes
-    keeps the rows sorted.
+    The tables of a lattice hold (radius/2 + 1)^n - (radius/2)^n states
+    times the 2^n vertex outcomes; more than _MAX_TABLE_ENTRIES is refused.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    radius = int(radius)
     if radius < 2 or radius % 2:
         raise ValueError("radius must be a positive even integer")
     half = radius // 2
@@ -79,6 +76,18 @@ def build_states(n: int, radius: int) -> np.ndarray:
             f"states, whose transition tables over the {2 ** n} vertex "
             f"outcomes hold {entries} entries (limit "
             f"{_MAX_TABLE_ENTRIES:.0e}); lower n or the radius")
+
+
+def build_states(n: int, radius: int) -> np.ndarray:
+    """Even-lattice reduced states with span(d, 0) <= radius, lexicographic.
+
+    Prefixes grow one coordinate at a time and keep only rows whose running
+    span fits, so no row outside the domain is ever built.  Appending the
+    even values in increasing order to lexicographically sorted prefixes
+    keeps the rows sorted.
+    """
+    radius = int(radius)
+    check_lattice(n, radius)
     axis = np.arange(-radius, radius + 1, 2)
     states = np.zeros((1, 0), dtype=np.int64)
     for _ in range(n - 1):
@@ -354,9 +363,8 @@ class SandwichReport:
         return d
 
 
-def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle,
-                   margin: int | None):
-    mask = lvf.interior_mask(margin)
+def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle):
+    mask = lvf.interior_mask()
     states = lvf.states[mask]
     x_full = np.hstack([states, np.zeros((states.shape[0], 1))]).astype(float)
     pot = handle.value_batch(x_full)
@@ -365,10 +373,9 @@ def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle,
 
 def adversary_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
                        error_term: float, error_mode: str = "user_supplied",
-                       tol: float = 1e-8,
-                       margin: int | None = None) -> SandwichReport:
+                       tol: float = 1e-8) -> SandwichReport:
     """Check potential - error <= certified lower lattice value on the interior."""
-    mask, pot = _interior_eval(lvf, handle, margin)
+    mask, pot = _interior_eval(lvf, handle)
     margins = pot - error_term - lvf.lower[mask]
     violations = int(np.sum(margins > tol))
     return SandwichReport("adversary_lower", handle.family, handle.side,
@@ -379,10 +386,9 @@ def adversary_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
 
 def player_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
                     error_term: float, error_mode: str = "user_supplied",
-                    tol: float = 1e-8,
-                    margin: int | None = None) -> SandwichReport:
+                    tol: float = 1e-8) -> SandwichReport:
     """Check certified upper lattice value <= potential + error on the interior."""
-    mask, pot = _interior_eval(lvf, handle, margin)
+    mask, pot = _interior_eval(lvf, handle)
     margins = lvf.upper[mask] - (pot + error_term)
     violations = int(np.sum(margins > tol))
     return SandwichReport("player_upper", handle.family, handle.side,
@@ -392,11 +398,11 @@ def player_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
 
 
 def ordering_check(adv: LatticeValueFunction, ply: LatticeValueFunction,
-                   tol: float = 1e-8, margin: int | None = None) -> SandwichReport:
+                   tol: float = 1e-8) -> SandwichReport:
     """Check lower(adversary value) <= upper(player value) stateside."""
     if adv.states.shape != ply.states.shape or not np.array_equal(adv.states, ply.states):
         raise ValueError("lattices do not match")
-    mask = adv.interior_mask(margin)
+    mask = adv.interior_mask()
     margins = adv.lower[mask] - ply.upper[mask]
     violations = int(np.sum(margins > tol))
     width = max(float(adv.width()[mask].max()), float(ply.width()[mask].max()))

@@ -16,9 +16,12 @@ geometrically stopped game by the exponentially weighted time integral
     u_hat(x) = e^delta int_{-inf}^{-delta} e^t u(x, t) dt
 
 followed by subtracting (lower side) or adding (upper side) a constant
-that accounts for the value of u at the final time -delta.  Every public
-evaluator accepts a single state of shape (n,) or a batch of states in
-rows of shape (b, n).
+that accounts for the value of u at the final time -delta.  A
+PotentialHandle is the one way to evaluate these potentials and their
+gradients: value/gradient take a single state of shape (n,), and
+value_batch/gradient_batch a batch of states in rows of shape (b, n).
+heat_potential_fixed and max_potential_fixed evaluate the fixed-time
+solutions, in either shape, for the derivative-constant scans.
 """
 
 from __future__ import annotations
@@ -39,23 +42,18 @@ from .specfun import (
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
-# Fixed composite Gauss-Legendre rules for the Gaussian integrals.  In the
-# scaled variable the integrands live on about [-9, 9] with unit smoothness
-# scale, so these resolve them to well below 1e-10.
+# Fixed composite Gauss-Legendre rule for the Gaussian value integral.  In
+# the scaled variable the integrand lives on about [-9, 9] with unit
+# smoothness scale, so this resolves it to well below 1e-10.
 _U_NODES, _U_WEIGHTS = composite_gauss_legendre(
     np.array([-12.0, -8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0, 12.0]), 16
 )
-_Y_NODES, _Y_WEIGHTS = composite_gauss_legendre(
-    np.array([-9.0, -5.0, -2.0, 0.0, 2.0, 5.0, 9.0]), 16
-)
-_Y_PDF_W = np.exp(-0.5 * _Y_NODES**2) / math.sqrt(2.0 * math.pi) * _Y_WEIGHTS
-_LOG_NDTR_Y = special.log_ndtr(_Y_NODES)
 
 # Strategy weights tolerate a shorter rule than values do: the integrand
-# has the same unit smoothness scale, and a ~1e-9 rule error on a
-# probability vector is far below every consumer tolerance.  The weight
-# path dominates Monte Carlo and lattice runs (profiled), so the
-# geometric gradient uses this half-size rule and a reduced time order.
+# has the same unit smoothness scale, and the rule's error on a weight,
+# measured at 1.3e-8 against mpmath references, is far below every
+# consumer tolerance.  The weight path dominates Monte Carlo and lattice
+# runs (profiled), so the gradient uses this rule and a reduced time order.
 _YG_NODES, _YG_WEIGHTS = composite_gauss_legendre(
     np.array([-8.5, -5.0, -2.0, 0.0, 2.0, 5.0, 8.5]), 8
 )
@@ -179,24 +177,29 @@ class PotentialHandle:
         return self.gradient_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def value_batch(self, X) -> np.ndarray:
+        """Potential values at the rows of X, shape (b,)."""
         if self.family == "exp_weights":
-            return exp_potential_geometric(X, self)
-        if self.family == "heat":
-            return heat_potential_geometric(X, self)
-        return max_potential_geometric(X, self)
+            X = np.asarray(X, dtype=float)
+            vals = special.logsumexp(self.eta * X, axis=-1) / self.eta
+            return vals + (1.0 - self.delta) * self.eta / (2.0 * self.delta)
+        X, _ = _as_batch(X)
+        kernel = _heat_value_batch if self.family == "heat" else _max_value_batch
+        return _geometric_value(X, self, kernel)
 
     def gradient_batch(self, X) -> np.ndarray:
+        """Probability weights, the gradient at the rows of X, shape (b, n)."""
         if self.family == "exp_weights":
-            return exp_gradient(X, self)
-        if self.family == "heat":
-            return heat_gradient_geometric(X, self)
-        return max_gradient_geometric(X, self)
+            X = np.asarray(X, dtype=float)
+            return special.softmax(self.eta * X, axis=-1)
+        X, _ = _as_batch(X)
+        kernel = _heat_grad_batch if self.family == "heat" else _max_grad_batch
+        return _geometric_gradient(X, self, kernel)
 
 
-def exp_handle(n: int, delta: float, eta: float | None = None) -> PotentialHandle:
-    """Softmax upper-bound potential with the default rate unless given."""
-    eta = default_eta(n, delta) if eta is None else float(eta)
-    return PotentialHandle("exp_weights", int(n), float(delta), "upper", eta=eta)
+def exp_handle(n: int, delta: float) -> PotentialHandle:
+    """Softmax upper-bound potential at the default rate."""
+    return PotentialHandle("exp_weights", int(n), float(delta), "upper",
+                           eta=default_eta(n, delta))
 
 
 def heat_lower_handle(n: int, delta: float) -> PotentialHandle:
@@ -259,28 +262,24 @@ def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray,
-                     lean: bool = False) -> np.ndarray:
+def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Gradient of the smoothed max: entry i is P-like weight of coordinate i.
 
     Returns shape (b, t, n).  Entry i equals the Gaussian integral of
     prod_{j != i} Phi(y + (x_i - x_j)/sigma) against the standard normal
-    density, so entries are nonnegative and sum to one.  lean selects the
-    half-size rule used for strategy weights.
+    density, so entries are nonnegative and sum to one.
     """
     b, n = X.shape
     t = len(sigmas)
-    nodes, pdf_w, log_ndtr = ((_YG_NODES, _YG_PDF_W, _LOG_NDTR_YG) if lean
-                              else (_Y_NODES, _Y_PDF_W, _LOG_NDTR_Y))
     diffs = X[:, :, None] - X[:, None, :]
     out = np.empty((b, t, n))
-    per_row = t * len(nodes) * n * n
+    per_row = t * len(_YG_NODES) * n * n
     for lo, hi in _chunks(b, per_row):
         z = diffs[lo:hi, None, :, :] / sigmas[None, :, None, None]
-        args = nodes[None, None, :, None, None] + z[:, :, None, :, :]
+        args = _YG_NODES[None, None, :, None, None] + z[:, :, None, :, :]
         logcdf = special.log_ndtr(args)
-        s = logcdf.sum(axis=-1) - log_ndtr[None, None, :, None]
-        out[lo:hi] = (np.exp(s) * pdf_w[None, None, :, None]).sum(axis=2)
+        s = logcdf.sum(axis=-1) - _LOG_NDTR_YG[None, None, :, None]
+        out[lo:hi] = (np.exp(s) * _YG_PDF_W[None, None, :, None]).sum(axis=2)
     return out
 
 
@@ -354,28 +353,12 @@ def heat_potential_fixed(x, t: float, kappa: float):
     return float(vals[0]) if single else vals
 
 
-def heat_gradient_fixed(x, t: float, kappa: float):
-    """Gradient of heat_potential_fixed; rows are probability weights."""
-    sigma = _check_fixed_args(t, kappa)
-    X, single = _as_batch(x)
-    g = clip_simplex(_heat_grad_batch(X, np.array([sigma]))[:, 0, :])
-    return g[0] if single else g
-
-
 def max_potential_fixed(x, t: float, kappa: float):
     """Ranked closed-form solution of u_t + kappa max_i u_{x_i x_i} = 0 at t < 0."""
     sigma = _check_fixed_args(t, kappa)
     X, single = _as_batch(x)
     vals = _max_value_batch(X, np.array([sigma]))[:, 0]
     return float(vals[0]) if single else vals
-
-
-def max_gradient_fixed(x, t: float, kappa: float):
-    """Gradient of max_potential_fixed; rows are probability weights."""
-    sigma = _check_fixed_args(t, kappa)
-    X, single = _as_batch(x)
-    g = clip_simplex(_max_grad_batch(X, np.array([sigma]))[:, 0, :])
-    return g[0] if single else g
 
 
 # ---------------------------------------------------------------------------
@@ -396,50 +379,6 @@ def _geometric_gradient(X, handle, grad_batch):
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
     g = (grad_batch(X, sigmas) * w[None, :, None]).sum(axis=1)
     return clip_simplex(g)
-
-
-def heat_potential_geometric(x, handle: PotentialHandle):
-    """Exponentially time-weighted smoothed max, shifted down (lower) or up (upper)."""
-    X, single = _as_batch(x)
-    vals = _geometric_value(X, handle, _heat_value_batch)
-    return float(vals[0]) if single else vals
-
-
-def heat_gradient_geometric(x, handle: PotentialHandle):
-    """Probability weights: time-weighted gradient of the smoothed max, renormalized."""
-    X, single = _as_batch(x)
-    g = _geometric_gradient(X, handle,
-                            lambda Xs, sig: _heat_grad_batch(Xs, sig, lean=True))
-    return g[0] if single else g
-
-
-def max_potential_geometric(x, handle: PotentialHandle):
-    """Exponentially time-weighted ranked potential, shifted down (lower) or up (upper)."""
-    X, single = _as_batch(x)
-    vals = _geometric_value(X, handle, _max_value_batch)
-    return float(vals[0]) if single else vals
-
-
-def max_gradient_geometric(x, handle: PotentialHandle):
-    """Probability weights: time-weighted ranked-potential gradient, renormalized."""
-    X, single = _as_batch(x)
-    g = _geometric_gradient(X, handle, _max_grad_batch)
-    return g[0] if single else g
-
-
-def exp_potential_geometric(x, handle: PotentialHandle):
-    """Softmax potential log-sum-exp(eta x)/eta + (1-delta) eta / (2 delta)."""
-    X = np.asarray(x, dtype=float)
-    eta = handle.eta
-    vals = special.logsumexp(eta * X, axis=-1) / eta
-    vals = vals + (1.0 - handle.delta) * eta / (2.0 * handle.delta)
-    return float(vals) if X.ndim == 1 else vals
-
-
-def exp_gradient(x, handle: PotentialHandle):
-    """Softmax weights exp(eta x_k) / sum exp(eta x_j)."""
-    X = np.asarray(x, dtype=float)
-    return special.softmax(handle.eta * X, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +464,3 @@ def fd_hessian_batch(value_batch, X, steps=None) -> np.ndarray:
         hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4.0 * h2)
     return hess
 
-
-_CENTRAL_STENCILS = {
-    3: (np.array([2.0, 1.0, -1.0, -2.0]),
-        np.array([1.0, -2.0, 2.0, -1.0]), 2.0),
-    4: (np.array([2.0, 1.0, 0.0, -1.0, -2.0]),
-        np.array([1.0, -4.0, 6.0, -4.0, 1.0]), 1.0),
-}

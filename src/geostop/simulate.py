@@ -99,12 +99,6 @@ def horizon_from_uniform(u: float, delta: float) -> int:
     return int(math.log(v) / math.log(1.0 - delta))
 
 
-def sample_horizon(delta: float, rng: np.random.Generator) -> int:
-    """Draw the number of completed rounds; mean (1-delta)/delta."""
-    check_stopping_rate(delta)
-    return horizon_from_uniform(rng.random(), delta)
-
-
 def _reduce(X: np.ndarray) -> np.ndarray:
     # Weights only depend on coordinate differences of the integer state,
     # exactly, so pinning the last coordinate to zero is a safe memo key.

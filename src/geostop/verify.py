@@ -40,6 +40,11 @@ from .strategies import AdversaryStrategy, make_adversary
 
 SUITES = ("lower", "upper", "final-time", "translation", "gradients", "all")
 
+# translation check: allowed |u(x + c 1) - u(x) - c|; monotonicity check:
+# allowed negative gradient entry and value drop under a coordinate bump
+_SHIFT_TOL = 1e-8
+_MONO_TOL = 1e-10
+
 
 @dataclass
 class CheckReport:
@@ -215,10 +220,9 @@ def check_final_time(handle: PotentialHandle, xs: np.ndarray,
                        _worst(margins, xs))
 
 
-def check_translation_and_monotone(handle: PotentialHandle, xs: np.ndarray,
-                                   rng: np.random.Generator | None = None,
-                                   shift_tol: float = 1e-8,
-                                   mono_tol: float = 1e-10) -> CheckReport:
+def check_translation_and_monotone(
+        handle: PotentialHandle, xs: np.ndarray,
+        rng: np.random.Generator | None = None) -> CheckReport:
     """Adding c to every coordinate adds c to the value; gradients stay nonnegative."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, n = xs.shape
@@ -233,13 +237,13 @@ def check_translation_and_monotone(handle: PotentialHandle, xs: np.ndarray,
     bumped = xs.copy()
     bumped[np.arange(m), i] += bump
     mono_err = base - np.asarray(handle.value_batch(bumped))
-    margins = np.maximum(shift_err - shift_tol,
-                         np.maximum(-grads.min(axis=1) - mono_tol,
-                                    mono_err - mono_tol))
+    margins = np.maximum(shift_err - _SHIFT_TOL,
+                         np.maximum(-grads.min(axis=1) - _MONO_TOL,
+                                    mono_err - _MONO_TOL))
     violations = int(np.sum(margins > 0))
     return CheckReport("translation_monotone", handle.family, handle.side,
                        n, handle.delta, m, violations, float(margins.max()),
-                       shift_tol, _worst(margins, xs))
+                       _SHIFT_TOL, _worst(margins, xs))
 
 
 def check_gradient_consistency(handle: PotentialHandle, xs: np.ndarray,

@@ -104,6 +104,27 @@ def test_estimate_error_constants_deterministic():
         assert 0.0 < value < 10.0
 
 
+# estimate_error_constants(n, 0.01, seed=1) as (k3_heat_lower,
+# k4_heat_lower, k3_heat_upper, k3_max_lower, k3_max_upper), compared
+# exactly: the fourth difference amplifies rounding, so any change to the
+# stencils, steps or grid shows as changed bits
+_PINNED_CONSTANTS = {
+    2: (0.004879041113463547, 0.0008668724613769634, 0.004879041113463547,
+        0.004879041115101769, 0.004879041115101769),
+    3: (0.008842109713476402, 0.003120740860957068, 0.0058221702590098515,
+        0.013017781024919123, 0.013017781024919123),
+    4: (0.010712251126340588, 0.004507736799160209, 0.0071261981609317855,
+        0.02111700100104839, 0.016462441934623893),
+}
+
+
+def test_pinned_error_constants():
+    for n, want in _PINNED_CONSTANTS.items():
+        got = estimate_error_constants(n, 0.01, seed=1)
+        assert (got.k3_heat_lower, got.k4_heat_lower, got.k3_heat_upper,
+                got.k3_max_lower, got.k3_max_upper) == want, n
+
+
 def test_all_bounds_families_and_sides():
     reports = all_bounds(3, 0.2, ErrorConstants.zero())
     tags = {(r.family, r.side) for r in reports}

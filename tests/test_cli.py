@@ -163,6 +163,19 @@ def test_oracle_player_run(capsys):
     assert "pass" in captured.err
 
 
+@pytest.mark.parametrize("player", ["heat", "max"])
+def test_oversized_lattice_is_refused_before_any_estimate(monkeypatch, capsys,
+                                                          player):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("error constants were estimated")
+
+    monkeypatch.setattr("geostop.cli.estimate_error_constants", no_estimate)
+    rc = main(["oracle", "--n", "9", "--delta", "0.1", "--radius", "60",
+               "--player", player])
+    assert rc == 2
+    assert "6756622160671 states" in capsys.readouterr().err
+
+
 def test_verify_suite_run(capsys):
     rc = main(["verify", "--suite", "translation", "--n", "2",
                "--delta", "0.2", "--samples", "12"])

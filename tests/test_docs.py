@@ -1,8 +1,10 @@
 """The README's quick start runs and its library section names the
-package exports; the demos' imports from geostop resolve."""
+package exports; the demos' imports from geostop resolve; every export
+has a caller outside the tests."""
 
 import ast
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,31 @@ def test_readme_library_section_names_the_exports():
     unknown = {name for name in named - {"outcomes_batch"}
                if not hasattr(geostop, name)}
     assert not unknown, sorted(unknown)
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names used as code in a file, plus the parts of dotted-name string
+    literals (layer lookups by name); a def or class name does not count."""
+    names = set()
+    defining = False
+    with tokenize.open(path) as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME:
+                if not defining:
+                    names.add(tok.string)
+                defining = tok.string in ("def", "class")
+            elif tok.type == tokenize.STRING:
+                literal = re.fullmatch(r"""(['"])([\w.]+)\1""", tok.string)
+                if literal:
+                    names.update(literal.group(2).split("."))
+    return names
+
+
+def test_every_export_has_a_non_test_caller():
+    sources = [p for p in sorted((ROOT / "src" / "geostop").glob("*.py"))
+               if p.name != "__init__.py"]
+    sources += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(_referenced_names(p) for p in sources))
+    exported = {name for name in vars(geostop) if not name.startswith("_")
+                and not isinstance(getattr(geostop, name), type(geostop))}
+    assert not exported - used, sorted(exported - used)

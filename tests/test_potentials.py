@@ -1,38 +1,44 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+from geostop.game import clip_simplex
 from geostop.potentials import (
     PotentialHandle,
+    _heat_grad_batch,
+    _max_grad_batch,
     default_eta,
-    exp_gradient,
     exp_handle,
-    exp_potential_geometric,
     fd_gradient_batch,
     fd_hessian_batch,
-    heat_gradient_fixed,
-    heat_gradient_geometric,
     heat_lower_handle,
     heat_potential_fixed,
-    heat_potential_geometric,
     heat_shift_constant,
     heat_upper_handle,
     heat_value_closed_origin,
     kappa_m,
     kappa_s,
-    max_gradient_fixed,
     max_lower_handle,
     max_potential_fixed,
-    max_potential_geometric,
     max_shift_constant,
     max_upper_handle,
     max_value_closed_origin,
 )
+from geostop.specfun import composite_gauss_legendre
 
 RATIO = lambda d: (1.0 - d) / d
+
+
+def _fixed_gradient(kernel, x, t, kappa):
+    """Fixed-time weights of one state at sigma = sqrt(2 kappa |t|), renormalized."""
+    sigma = np.array([math.sqrt(2.0 * kappa * -t)])
+    X = np.asarray(x, dtype=float)[None, :]
+    return clip_simplex(kernel(X, sigma)[:, 0, :])[0]
 
 
 def test_kappa_s_values():
@@ -127,9 +133,10 @@ def test_heat_fixed_dominates_max():
 
 
 def test_heat_gradient_fixed_symmetry_and_dominance():
-    np.testing.assert_allclose(heat_gradient_fixed(np.zeros(3), -1.0, 1.0),
-                               np.full(3, 1.0 / 3.0), atol=1e-12)
-    g = heat_gradient_fixed(np.array([10.0, 0.0]), -0.005, 1.0)
+    np.testing.assert_allclose(
+        _fixed_gradient(_heat_grad_batch, np.zeros(3), -1.0, 1.0),
+        np.full(3, 1.0 / 3.0), atol=1e-12)
+    g = _fixed_gradient(_heat_grad_batch, np.array([10.0, 0.0]), -0.005, 1.0)
     np.testing.assert_allclose(g, [1.0, 0.0], atol=1e-10)
 
 
@@ -137,7 +144,7 @@ def test_heat_gradient_fixed_vs_quadrature():
     """Component i is P(coordinate i attains the smoothed max)."""
     x = np.array([0.8, 0.0, -0.5])
     sigma = math.sqrt(2.0 * 1.0 * 1.5)
-    got = heat_gradient_fixed(x, -1.5, 1.0)
+    got = _fixed_gradient(_heat_grad_batch, x, -1.5, 1.0)
     for i in range(3):
         others = np.delete(x, i)
         want = integrate.quad(
@@ -190,14 +197,14 @@ def test_max_gradient_sums_to_one_exactly():
     rng = np.random.default_rng(3)
     for _ in range(30):
         x = rng.normal(size=5) * 4.0
-        g = max_gradient_fixed(x, -0.7, 2.0)
+        g = _fixed_gradient(_max_grad_batch, x, -0.7, 2.0)
         assert abs(g.sum() - 1.0) < 1e-14
         assert np.all(g >= 0.0)
 
 
 def test_max_gradient_matches_finite_differences():
     xs = np.array([[2.0, 0.5, -1.0], [4.0, 1.0, 0.0], [-1.0, -2.0, -4.0]])
-    got = np.array([max_gradient_fixed(x, -1.0, 2.0) for x in xs])
+    got = np.array([_fixed_gradient(_max_grad_batch, x, -1.0, 2.0) for x in xs])
     want = fd_gradient_batch(
         lambda X: np.array([max_potential_fixed(x, -1.0, 2.0) for x in X]), xs)
     np.testing.assert_allclose(got, want, atol=1e-6)
@@ -221,22 +228,22 @@ def test_exp_potential_and_gradient_identities():
     eta = h.eta
     want = special.logsumexp(eta * x) / eta \
         + (1.0 - 0.25) * eta / (2.0 * 0.25)
-    np.testing.assert_allclose(exp_potential_geometric(x, h), want, atol=1e-12)
+    np.testing.assert_allclose(h.value(x), want, atol=1e-12)
     soft = np.exp(eta * x) / np.exp(eta * x).sum()
-    np.testing.assert_allclose(exp_gradient(x, h), soft, atol=1e-12)
+    np.testing.assert_allclose(h.gradient(x), soft, atol=1e-12)
 
 
 def test_heat_geometric_origin_matches_closed_form():
     for n, d in [(2, 1e-2), (3, 1e-4), (5, 1e-2)]:
         h = heat_lower_handle(n, d)
-        got = heat_potential_geometric(np.zeros(n), h) + h.shift_constant
+        got = h.value(np.zeros(n)) + h.shift_constant
         np.testing.assert_allclose(got, heat_value_closed_origin(h), atol=1e-7)
 
 
 def test_max_geometric_origin_matches_closed_form():
     for n, d in [(2, 1e-2), (4, 1e-4)]:
         h = max_upper_handle(n, d)
-        got = max_potential_geometric(np.zeros(n), h) - h.shift_constant
+        got = h.value(np.zeros(n)) - h.shift_constant
         np.testing.assert_allclose(got, max_value_closed_origin(h), atol=1e-7)
 
 
@@ -263,9 +270,7 @@ def test_small_delta_asymptote_two_experts():
     target = 1.0 / math.sqrt(2.0)
     for h in (heat_lower_handle(2, d), max_lower_handle(2, d),
               max_upper_handle(2, d)):
-        fam_value = (heat_potential_geometric if h.family == "heat"
-                     else max_potential_geometric)(np.zeros(2), h)
-        assert abs(math.sqrt(d) * fam_value - target) < 0.01 * target
+        assert abs(math.sqrt(d) * h.value(np.zeros(2)) - target) < 0.01 * target
 
 
 def test_geometric_gradients_match_finite_differences():
@@ -282,23 +287,58 @@ def test_geometric_gradients_match_finite_differences():
 def test_heat_geometric_gradient_permutes_with_input():
     h = heat_upper_handle(3, 0.2)
     x = np.array([2.0, -1.0, 0.5])
-    g = heat_gradient_geometric(x, h)
+    g = h.gradient(x)
     perm = np.array([2, 0, 1])
-    np.testing.assert_allclose(heat_gradient_geometric(x[perm], h), g[perm],
-                               atol=1e-12)
+    np.testing.assert_allclose(h.gradient(x[perm]), g[perm], atol=1e-12)
+
+
+def _heat_weights_full_rule(X, sigma):
+    """Fixed-time heat weights by 16 Gauss-Legendre nodes on each of six
+    panels of [-9, 9], with the products of normal CDFs taken directly."""
+    nodes, weights = composite_gauss_legendre(
+        np.array([-9.0, -5.0, -2.0, 0.0, 2.0, 5.0, 9.0]), 16)
+    pdf_w = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi) * weights
+    z = (X[:, :, None] - X[:, None, :]) / sigma
+    cdf = special.ndtr(nodes[:, None, None, None] + z[None])
+    # the j = i factor of the product is Phi(y); divide it back out
+    prod = cdf.prod(axis=-1) / special.ndtr(nodes)[:, None, None]
+    return np.tensordot(pdf_w, prod, axes=1)
 
 
 def test_lean_weight_rule_tracks_the_full_rule():
-    # The strategy path runs the half-size quadrature; keep it within a
-    # decade of the full rule's 1e-9 design accuracy or weights drift.
-    from geostop.potentials import _heat_grad_batch
-
+    # The weight path runs an 8-node rule; keep it within 1e-7 of a rule
+    # twice its size (its measured error is 1.3e-8 against mpmath values)
+    # or weights drift.
     rng = np.random.default_rng(77)
     xs = rng.normal(size=(50, 3)) * 4.0
-    sig = np.full(50, 1.7)
-    np.testing.assert_allclose(_heat_grad_batch(xs, sig, lean=True),
-                               _heat_grad_batch(xs, sig, lean=False),
-                               atol=1e-7)
+    np.testing.assert_allclose(_heat_grad_batch(xs, np.array([1.7]))[:, 0, :],
+                               _heat_weights_full_rule(xs, 1.7), atol=1e-7)
+
+
+# Values and weights of every handle factory at n = 2..5 and two rates,
+# compared exactly: seeded simulations and oracle brackets depend on every
+# bit, so a change in the arithmetic or its order must show here.
+_PINNED = json.loads(
+    (Path(__file__).parent / "data" / "pinned_handles.json").read_text())
+_FACTORIES = {f.__name__: f for f in (exp_handle, heat_lower_handle,
+                                      heat_upper_handle, max_lower_handle,
+                                      max_upper_handle)}
+
+
+def _pinned_states(n):
+    k = np.arange(n)
+    return np.array([np.zeros(n), 2 * k - n, np.where(k < 2, 4, -2),
+                     (-1) ** k * (6 * k + 2)], dtype=float)
+
+
+def test_pinned_handle_outputs():
+    assert len(_PINNED) == len(_FACTORIES) * 4 * 2
+    for key, want in _PINNED.items():
+        name, n, delta = key.split("/")
+        h = _FACTORIES[name](int(n), float(delta))
+        X = _pinned_states(int(n))
+        assert h.value_batch(X).tolist() == want["value"], key
+        assert h.gradient_batch(X).tolist() == want["gradient"], key
 
 
 def test_handle_validation():

@@ -10,7 +10,6 @@ from geostop.simulate import (
     horizon_from_uniform,
     play_episode,
     run,
-    sample_horizon,
     thread_count,
     trial_rng,
 )
@@ -40,7 +39,8 @@ def test_horizon_from_uniform_inverts_the_geometric_law():
 def test_sample_horizon_mean():
     delta = 0.25
     rng = np.random.default_rng(7)
-    draws = np.array([sample_horizon(delta, rng) for _ in range(4000)])
+    draws = np.array([horizon_from_uniform(rng.random(), delta)
+                      for _ in range(4000)])
     want = (1.0 - delta) / delta
     se = draws.std() / math.sqrt(draws.size)
     assert abs(draws.mean() - want) < 4.0 * se
