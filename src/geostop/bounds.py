@@ -12,19 +12,20 @@ mode field of every report records that provenance.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .potentials import (fd_step, heat_potential_fixed, kappa_m, kappa_s,
-                         max_potential_fixed)
+from .potentials import (fd_step, heat_lower_handle, heat_potential_fixed,
+                         heat_upper_handle, kappa_m, kappa_s, max_lower_handle,
+                         max_potential_fixed, max_upper_handle)
 from .specfun import (
     gaussian_max_expectation,
     laplace_inv1_bound,
     laplace_inv32_integral,
 )
-from .strategies import heat_adversary_support
+from .strategies import _ENUM_LIMIT, heat_adversary_support
 
 __all__ = [
     "ErrorConstants", "BoundReport",
@@ -118,27 +119,29 @@ def estimate_error_constants(n: int, delta: float,
     rng = np.random.default_rng(seed + 1)
     xs, ts = _estimation_grid(n, delta, seed)
 
-    support = heat_adversary_support(n) if n <= 20 else None
+    support = heat_adversary_support(n) if n <= _ENUM_LIMIT else None
     if support is not None:
         heat_qs = [q for q in support if tuple(q) >= tuple(-q)]
     else:
         heat_qs = list(np.sign(rng.standard_normal((8, n))))
     cube_qs = _cube_directions(n, rng)
 
-    k_lo = kappa_s(n, delta)
-    k_hi = (1.0 - delta) / delta
+    k_heat_lo = heat_lower_handle(n, delta).kappa
+    k_heat_hi = heat_upper_handle(n, delta).kappa
+    k_max_lo = max_lower_handle(n, delta).kappa
+    k_max_hi = max_upper_handle(n, delta).kappa
 
     def heat_lo(pts, t):
-        return heat_potential_fixed(pts, t, k_lo)
+        return heat_potential_fixed(pts, t, k_heat_lo)
 
     def heat_hi(pts, t):
-        return heat_potential_fixed(pts, t, k_hi)
+        return heat_potential_fixed(pts, t, k_heat_hi)
 
     def max_lo(pts, t):
-        return max_potential_fixed(pts, t, 2.0 * k_hi)
+        return max_potential_fixed(pts, t, k_max_lo)
 
     def max_hi(pts, t):
-        return max_potential_fixed(pts, t, kappa_m(n, delta))
+        return max_potential_fixed(pts, t, k_max_hi)
 
     leader_qs = []
     for x in xs:
@@ -179,13 +182,6 @@ class BoundReport:
     bound: float
     c_n: float
     error_mode: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoundReport":
-        return cls(**d)
 
     def csv_row(self) -> list:
         return [self.family, self.side, self.n, repr(self.delta),

@@ -1,9 +1,18 @@
 """Command line front end: bound tables, figures, simulation and oracle runs.
 
 Every command is deterministic given its flags.  Machine-readable output
-goes to stdout (CSV or JSON), human summaries to stderr.  Exit codes:
-0 success, 1 a checked assertion failed, 2 usage error.  Flag values win
-over ``--config`` key=value entries, which win over built-in defaults.
+goes to stdout (CSV or JSON), human summaries to stderr.  ``--out PATH``
+writes the bounds table to PATH instead of stdout; simulate and verify
+write their JSON to both; oracle writes the lattice values as CSV to PATH
+and keeps its JSON on stdout; figure writes PATH.svg and PATH.csv.  Exit
+codes: 0 success, 1 a checked assertion failed, 2 usage error.
+
+build_parser declares each option once, with its type, choices and
+default.  The ``key = value`` lines of a ``--config`` file become
+``--key=value`` flags placed right after the command name, so they pass
+the same checks as flags and explicit flags, coming later, win.  Keys
+are option names in full.  The switches --json, --log-x and --outcomes
+take 1/true/yes/on or 0/false/no/off as a value, and true when bare.
 """
 
 from __future__ import annotations
@@ -24,24 +33,16 @@ from .bounds import (ErrorConstants, REPORT_FIELDS, comparison_curves,
 from .oracle import (adversary_sandwich, check_lattice, player_sandwich,
                      potential_upper_source, value_iteration_adversary,
                      value_iteration_player)
-from .potentials import (exp_handle, heat_lower_handle, heat_upper_handle,
-                         max_lower_handle, max_upper_handle)
+from .potentials import heat_lower_handle, max_lower_handle
 from .simulate import SimulationConfig, run
 from .strategies import (ADVERSARY_KINDS, PLAYER_KINDS, make_adversary,
                          make_player)
 from .verify import SUITES, run_suite
 
-_REQUIRED = object()
-
 _FAMILY_CHOICES = ("exp", "heat", "max")
 
-# how to read config-file strings for each option; anything absent is a string
-_OPTION_TYPES = {
-    "n": int, "trials": int, "seed": int, "radius": int, "samples": int,
-    "threads": int, "max_rounds_cap": int,
-    "delta": float, "tol": float,
-    "log_x": bool, "json": bool, "outcomes": bool,
-}
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
 
 _CSV_EXTRA = ("c_n_zero_error", "gravin_lower_c", "gravin_upper_c")
 
@@ -71,70 +72,41 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(key: str, text: str):
-    kind = _OPTION_TYPES.get(key, str)
-    if kind is bool:
-        return text.lower() in ("1", "true", "yes", "on")
-    return kind(text)
+def _switch(text: str) -> bool:
+    """Value of a switch given as a word, as in --json=no or 'json = no'."""
+    try:
+        return _SWITCH_WORDS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"expected 1/true/yes/on or 0/false/no/off, got {text!r}"
+        ) from None
 
 
-def _settle(parser: argparse.ArgumentParser, args: argparse.Namespace,
-            defaults: dict) -> dict:
-    """Merge defaults, config-file entries, and explicit flags, in that order."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            entries = _read_config(config_path)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot read config file: {exc}")
-        unknown = sorted(set(entries) - set(defaults))
-        if unknown:
-            parser.error(f"unknown config keys: {', '.join(unknown)}")
-        for key, text in entries.items():
-            try:
-                merged[key] = _coerce(key, text)
-            except ValueError:
-                parser.error(f"bad config value for {key}: {text!r}")
-    for key in defaults:
-        if hasattr(args, key):
-            merged[key] = getattr(args, key)
-    missing = [k for k, v in merged.items() if v is _REQUIRED]
-    if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        parser.error(f"missing required option(s): {flags}")
-    return merged
-
-
-def _parse_n_values(parser, ns) -> list[int]:
-    if ns["n"] is not None and ns["n_range"] is not None:
-        parser.error("give either --n or --n-range, not both")
-    if ns["n"] is not None:
-        return [int(ns["n"])]
-    spec = ns["n_range"]
-    if spec is None:
-        parser.error("one of --n or --n-range is required")
-    parts = spec.split(":")
+def _n_range(text: str) -> list[int]:
+    parts = text.split(":")
     if len(parts) not in (2, 3):
-        parser.error("--n-range must look like FIRST:LAST or FIRST:LAST:STEP")
+        raise argparse.ArgumentTypeError(
+            f"must look like FIRST:LAST or FIRST:LAST:STEP, got {text!r}")
     try:
         first, last = int(parts[0]), int(parts[1])
         step = int(parts[2]) if len(parts) == 3 else 1
     except ValueError:
-        parser.error("--n-range parts must be integers")
+        raise argparse.ArgumentTypeError(
+            f"parts must be integers, got {text!r}") from None
     if first < 2 or last < first or step < 1:
-        parser.error("--n-range needs 2 <= FIRST <= LAST and STEP >= 1")
+        raise argparse.ArgumentTypeError(
+            f"needs 2 <= FIRST <= LAST and STEP >= 1, got {text!r}")
     return list(range(first, last + 1, step))
 
 
-def _parse_families(parser, text: str) -> list[str]:
+def _families(text: str) -> list[str]:
     if text == "all":
         return list(_FAMILY_CHOICES)
     names = [t.strip() for t in text.split(",") if t.strip()]
-    bad = sorted(set(names) - set(_FAMILY_CHOICES))
-    if bad or not names:
-        parser.error(f"--families takes 'all' or a comma list from "
-                     f"{_FAMILY_CHOICES}, got {text!r}")
+    if not names or set(names) - set(_FAMILY_CHOICES):
+        raise argparse.ArgumentTypeError(
+            f"takes 'all' or a comma list from {_FAMILY_CHOICES}, "
+            f"got {text!r}")
     return names
 
 
@@ -150,20 +122,19 @@ def _reports_for(n: int, delta: float, families: list[str],
     return out
 
 
-def _bound_rows(parser, ns) -> list[dict]:
+def _bound_rows(args) -> list[dict]:
     """Shared table builder for the bounds and figure commands."""
-    n_values = _parse_n_values(parser, ns)
-    families = _parse_families(parser, ns["families"])
-    delta = float(ns["delta"])
+    n_values = [args.n] if args.n is not None else args.n_range
+    delta = args.delta
     rows = []
     for n in n_values:
-        if ns.get("errors", "zero") == "estimated":
-            errors = estimate_error_constants(n, delta, seed=int(ns["seed"]))
+        if args.errors == "estimated":
+            errors = estimate_error_constants(n, delta, seed=args.seed)
         else:
             errors = ErrorConstants.zero()
         curves = comparison_curves(n, delta)
         scale = math.sqrt(delta)
-        for rep in _reports_for(n, delta, families, errors):
+        for rep in _reports_for(n, delta, args.families, errors):
             row = dict(zip(REPORT_FIELDS, rep.csv_row()))
             row["c_n_zero_error"] = repr(rep.potential_at_zero * scale)
             row["gravin_lower_c"] = repr(curves["gravin_lower_asymptote"] * scale)
@@ -178,20 +149,20 @@ def _write_csv(rows: list[dict], stream) -> None:
     writer.writerows(rows)
 
 
-def cmd_bounds(parser, ns) -> int:
-    rows = _bound_rows(parser, ns)
-    if ns["json"]:
+def cmd_bounds(args) -> int:
+    rows = _bound_rows(args)
+    if args.json:
         text = json.dumps(rows, indent=2) + "\n"
     else:
         buf = io.StringIO()
         _write_csv(rows, buf)
         text = buf.getvalue()
-    if ns["out"]:
-        with open(ns["out"], "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    print(f"bounds: {len(rows)} rows at delta={ns['delta']}", file=sys.stderr)
+    print(f"bounds: {len(rows)} rows at delta={args.delta}", file=sys.stderr)
     return 0
 
 
@@ -287,13 +258,13 @@ def _render_svg(curves: list[tuple[str, list[float], list[float]]],
     return "\n".join(parts) + "\n"
 
 
-def cmd_figure(parser, ns) -> int:
-    rows = _bound_rows(parser, ns)
+def cmd_figure(args) -> int:
+    rows = _bound_rows(args)
     by_curve: dict[str, tuple[list[float], list[float]]] = {}
     for row in rows:
         label = f"{row['family'].replace('_weights', '')} {row['side']}"
         xs, ys = by_curve.setdefault(label, ([], []))
-        x = math.log10(int(row["n"])) if ns["log_x"] else float(row["n"])
+        x = math.log10(int(row["n"])) if args.log_x else float(row["n"])
         xs.append(x)
         ys.append(float(row["c_n_zero_error"]))
     seen_n = sorted({int(row["n"]) for row in rows})
@@ -302,16 +273,15 @@ def cmd_figure(parser, ns) -> int:
         if key == "gravin_lower_c":
             label = "gravin lower asymptote"
         vals = {int(row["n"]): float(row[key]) for row in rows}
-        xs = [math.log10(n) if ns["log_x"] else float(n) for n in seen_n]
+        xs = [math.log10(n) if args.log_x else float(n) for n in seen_n]
         by_curve[label] = (xs, [vals[n] for n in seen_n])
 
-    delta = float(ns["delta"])
-    title = f"Normalized bound constants at delta={delta:g}"
-    x_label = "log10 N" if ns["log_x"] else "N"
+    title = f"Normalized bound constants at delta={args.delta:g}"
+    x_label = "log10 N" if args.log_x else "N"
     curves = [(label, xs, ys) for label, (xs, ys) in by_curve.items()]
-    svg = _render_svg(curves, title, x_label, ns["log_x"])
+    svg = _render_svg(curves, title, x_label, args.log_x)
 
-    out = ns["out"]
+    out = args.out
     with open(out + ".svg", "w", newline="") as fh:
         fh.write(svg)
     with open(out + ".csv", "w", newline="") as fh:
@@ -321,23 +291,23 @@ def cmd_figure(parser, ns) -> int:
     return 0
 
 
-def cmd_simulate(parser, ns) -> int:
+def cmd_simulate(args) -> int:
     cfg = SimulationConfig(
-        n=int(ns["n"]), delta=float(ns["delta"]),
-        player=make_player(ns["player"], int(ns["n"]), float(ns["delta"])),
-        adversary=make_adversary(ns["adversary"], int(ns["n"])),
-        trials=int(ns["trials"]), seed=int(ns["seed"]),
-        max_rounds_cap=ns["max_rounds_cap"])
-    result = run(cfg, threads=ns["threads"], collect_outcomes=ns["outcomes"])
+        n=args.n, delta=args.delta,
+        player=make_player(args.player, args.n, args.delta),
+        adversary=make_adversary(args.adversary, args.n),
+        trials=args.trials, seed=args.seed,
+        max_rounds_cap=args.max_rounds_cap)
+    result = run(cfg, threads=args.threads, collect_outcomes=args.outcomes)
     payload = {
-        "n": cfg.n, "delta": cfg.delta, "player": ns["player"],
-        "adversary": ns["adversary"], "trials": cfg.trials, "seed": cfg.seed,
+        "n": cfg.n, "delta": cfg.delta, "player": args.player,
+        "adversary": args.adversary, "trials": cfg.trials, "seed": cfg.seed,
     }
     payload.update(result.to_dict())
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
-    if ns["out"]:
-        with open(ns["out"], "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     print(f"simulate: mean regret {result.mean_regret:.4f} "
           f"+- {result.std_error:.4f} over {result.trials_used} trials "
@@ -345,56 +315,52 @@ def cmd_simulate(parser, ns) -> int:
     return 0
 
 
-_ADVERSARY_BOUNDS = {"heat": (heat_lower_handle, heat_bounds, 0),
-                     "max": (max_lower_handle, max_bounds, 0)}
-_PLAYER_BOUNDS = {"heat": (heat_upper_handle, heat_bounds, 1),
-                  "max": (max_upper_handle, max_bounds, 1)}
+_FAMILY_BOUNDS = {"heat": heat_bounds, "max": max_bounds}
+_ADVERSARY_HANDLES = {"heat": heat_lower_handle, "max": max_lower_handle}
 
 
-def _oracle_error(ns, n: int, delta: float, family_bounds, idx: int):
+def _oracle_error(args, kind: str, side: int):
     """Error term of one bound report and its mode, as --errors selects."""
-    if ns["errors"] == "estimated":
-        constants = estimate_error_constants(n, delta, seed=int(ns["seed"]))
+    if args.errors == "estimated":
+        constants = estimate_error_constants(args.n, args.delta,
+                                             seed=args.seed)
         mode = "numerically_estimated"
     else:
         constants = ErrorConstants.zero()
         mode = "user_supplied"
-    return family_bounds(n, delta, constants)[idx].error_term, mode
+    reports = _FAMILY_BOUNDS[kind](args.n, args.delta, constants)
+    return reports[side].error_term, mode
 
 
-def cmd_oracle(parser, ns) -> int:
-    if (ns["adversary"] is None) == (ns["player"] is None):
-        parser.error("give exactly one of --adversary or --player")
-    n, delta = int(ns["n"]), float(ns["delta"])
-    radius, tol = int(ns["radius"]), float(ns["tol"])
+def cmd_oracle(args) -> int:
+    n, delta, radius, tol = args.n, args.delta, args.radius, args.tol
     # refuse an oversized lattice before estimating any error constant
     check_lattice(n, radius)
 
-    if ns["adversary"] is not None:
-        kind = ns["adversary"]
-        make_handle, family_bounds, idx = _ADVERSARY_BOUNDS[kind]
-        handle = make_handle(n, delta)
+    if args.adversary is not None:
+        kind = args.adversary
+        handle = _ADVERSARY_HANDLES[kind](n, delta)
         lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
                                         radius, tol)
-        err, mode = _oracle_error(ns, n, delta, family_bounds, idx)
+        err, mode = _oracle_error(args, kind, 0)
         report = adversary_sandwich(lvf, handle, err, mode, tol)
         role = "adversary"
     else:
-        kind = ns["player"]
+        kind = args.player
+        player = make_player(kind, n, delta)
+        handle = player.handle
         if kind == "exp":
-            handle, err, mode = exp_handle(n, delta), 0.0, "exact"
+            err, mode = 0.0, "exact"
         else:
-            make_handle, family_bounds, idx = _PLAYER_BOUNDS[kind]
-            handle = make_handle(n, delta)
-            err, mode = _oracle_error(ns, n, delta, family_bounds, idx)
+            err, mode = _oracle_error(args, kind, 1)
         lvf = value_iteration_player(
-            make_player(kind, n, delta), n, delta, radius, tol,
+            player, n, delta, radius, tol,
             upper_bound=potential_upper_source(handle, err))
         report = player_sandwich(lvf, handle, err, mode, tol)
         role = "player"
 
-    if ns["out"]:
-        with open(ns["out"], "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"d{j + 1}" for j in range(n - 1)]
                             + ["lower", "upper"])
@@ -417,21 +383,20 @@ def cmd_oracle(parser, ns) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_verify(parser, ns) -> int:
-    reports = run_suite(ns["suite"], n=int(ns["n"]), delta=float(ns["delta"]),
-                        samples=int(ns["samples"]), tol=float(ns["tol"]),
-                        seed=int(ns["seed"]))
+def cmd_verify(args) -> int:
+    reports = run_suite(args.suite, n=args.n, delta=args.delta,
+                        samples=args.samples, tol=args.tol, seed=args.seed)
     passed = all(rep.passed for rep in reports.values())
     payload = {
-        "suite": ns["suite"], "n": int(ns["n"]), "delta": float(ns["delta"]),
-        "samples": int(ns["samples"]), "tol": float(ns["tol"]),
+        "suite": args.suite, "n": args.n, "delta": args.delta,
+        "samples": args.samples, "tol": args.tol,
         "passed": passed,
         "reports": {name: rep.to_dict() for name, rep in reports.items()},
     }
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
-    if ns["out"]:
-        with open(ns["out"], "w", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
     for name, rep in sorted(reports.items()):
         print(f"verify: {name}: {rep.violations} violations over "
@@ -440,36 +405,24 @@ def cmd_verify(parser, ns) -> int:
     return 0 if passed else 1
 
 
-_DEFAULTS = {
-    "bounds": {"n": None, "n_range": None, "delta": _REQUIRED,
-               "families": "all", "errors": "zero", "seed": 0,
-               "json": False, "out": None, "config": None},
-    "figure": {"n": None, "n_range": "2:50", "delta": 1e-6,
-               "families": "all", "errors": "zero", "seed": 0,
-               "log_x": False, "out": "figure", "config": None},
-    "simulate": {"n": _REQUIRED, "delta": _REQUIRED, "player": "heat",
-                 "adversary": "heat", "trials": 10000, "seed": 0,
-                 "threads": None, "max_rounds_cap": None, "outcomes": False,
-                 "out": None, "config": None},
-    "oracle": {"n": _REQUIRED, "delta": _REQUIRED, "adversary": None,
-               "player": None, "radius": 60, "tol": 1e-8,
-               "errors": "estimated", "seed": 0, "out": None, "config": None},
-    "verify": {"suite": "all", "n": 3, "delta": 0.1, "samples": 200,
-               "tol": 1e-4, "seed": 0, "out": None, "config": None},
-}
-
 _RUNNERS = {"bounds": cmd_bounds, "figure": cmd_figure,
             "simulate": cmd_simulate, "oracle": cmd_oracle,
             "verify": cmd_verify}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", default=argparse.SUPPRESS,
+def _add_common(sub: argparse.ArgumentParser, out_help: str,
+                out_default: str | None = None) -> None:
+    sub.add_argument("--config",
                      help="key=value file supplying defaults for any flag")
-    sub.add_argument("--out", default=argparse.SUPPRESS,
-                     help="write primary output to this path")
-    sub.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    sub.add_argument("--out", default=out_default, help=out_help)
+    sub.add_argument("--seed", type=int, default=0,
                      help="seed for any randomized step")
+
+
+def _add_switch(sub: argparse.ArgumentParser, flag: str,
+                help_text: str) -> None:
+    sub.add_argument(flag, nargs="?", const=True, default=False, type=_switch,
+                     metavar="WORD", help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,68 +433,90 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"geostop {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    sup = argparse.SUPPRESS
 
     p = subs.add_parser("bounds", help="tabulate bound reports over N")
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--n-range", default=sup, metavar="FIRST:LAST[:STEP]")
-    p.add_argument("--delta", type=float, default=sup)
-    p.add_argument("--families", default=sup,
+    sizes = p.add_mutually_exclusive_group(required=True)
+    sizes.add_argument("--n", type=int)
+    sizes.add_argument("--n-range", type=_n_range, metavar="FIRST:LAST[:STEP]")
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--families", type=_families, default="all",
                    help="'all' or comma list of exp,heat,max")
-    p.add_argument("--errors", choices=("zero", "estimated"), default=sup)
-    p.add_argument("--json", action="store_true", default=sup,
-                   help="emit JSON instead of CSV")
-    _add_common(p)
+    p.add_argument("--errors", choices=("zero", "estimated"), default="zero")
+    _add_switch(p, "--json", "emit JSON instead of CSV")
+    _add_common(p, "write the table to this path instead of stdout")
 
     p = subs.add_parser("figure", help="render the C_N comparison plot")
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--n-range", default=sup, metavar="FIRST:LAST[:STEP]")
-    p.add_argument("--delta", type=float, default=sup)
-    p.add_argument("--families", default=sup)
-    p.add_argument("--errors", choices=("zero", "estimated"), default=sup)
-    p.add_argument("--log-x", action="store_true", default=sup)
-    _add_common(p)
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--n", type=int)
+    sizes.add_argument("--n-range", type=_n_range, default="2:50",
+                       metavar="FIRST:LAST[:STEP]")
+    p.add_argument("--delta", type=float, default=1e-6)
+    p.add_argument("--families", type=_families, default="all")
+    p.add_argument("--errors", choices=("zero", "estimated"), default="zero")
+    _add_switch(p, "--log-x", "plot against log10 N")
+    _add_common(p, "path prefix of the PREFIX.svg and PREFIX.csv written",
+                "figure")
 
     p = subs.add_parser("simulate", help="Monte Carlo matchup")
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--delta", type=float, default=sup)
-    p.add_argument("--player", choices=PLAYER_KINDS, default=sup)
-    p.add_argument("--adversary", choices=ADVERSARY_KINDS, default=sup)
-    p.add_argument("--trials", type=int, default=sup)
-    p.add_argument("--threads", type=int, default=sup,
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--player", choices=PLAYER_KINDS, default="heat")
+    p.add_argument("--adversary", choices=ADVERSARY_KINDS, default="heat")
+    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--threads", type=int,
                    help="worker threads (capped by GEOSTOP_THREADS)")
-    p.add_argument("--max-rounds-cap", type=int, default=sup)
-    p.add_argument("--outcomes", action="store_true", default=sup,
-                   help="also report per-coordinate outcome means")
-    _add_common(p)
+    p.add_argument("--max-rounds-cap", type=int)
+    _add_switch(p, "--outcomes", "also report per-coordinate outcome means")
+    _add_common(p, "also write the JSON on stdout to this path")
 
     p = subs.add_parser("oracle", help="lattice value iteration and sandwich")
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--delta", type=float, default=sup)
-    p.add_argument("--adversary", choices=ADVERSARY_KINDS, default=sup)
-    p.add_argument("--player", choices=("exp", "heat", "max"), default=sup)
-    p.add_argument("--radius", type=int, default=sup)
-    p.add_argument("--tol", type=float, default=sup)
-    p.add_argument("--errors", choices=("zero", "estimated"), default=sup)
-    _add_common(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", type=float, required=True)
+    roles = p.add_mutually_exclusive_group(required=True)
+    roles.add_argument("--adversary", choices=ADVERSARY_KINDS)
+    roles.add_argument("--player", choices=("exp", "heat", "max"))
+    p.add_argument("--radius", type=int, default=60)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--errors", choices=("zero", "estimated"),
+                   default="estimated")
+    _add_common(p, "write the lattice values as CSV to this path")
 
     p = subs.add_parser("verify", help="potential condition suites")
-    p.add_argument("--suite", choices=SUITES, default=sup)
-    p.add_argument("--n", type=int, default=sup)
-    p.add_argument("--delta", type=float, default=sup)
-    p.add_argument("--samples", type=int, default=sup)
-    p.add_argument("--tol", type=float, default=sup)
-    _add_common(p)
+    p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--tol", type=float, default=1e-4)
+    _add_common(p, "also write the JSON on stdout to this path")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    ns = _settle(parser, args, _DEFAULTS[args.command])
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # find --config first, then parse its entries as flags placed right
+    # after the command name, so that explicit flags, coming later, win
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", nargs="?")
+    entries = {}
+    config_path = pre.parse_known_args(argv)[0].config
+    if config_path:
+        try:
+            entries = _read_config(config_path)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read config file: {exc}")
+    tokens = [f"--{key.replace('_', '-')}={val}"
+              for key, val in entries.items()]
+    args, extra = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+    # a config key must name an option of its command in full
+    unknown = sorted(set(entries) - set(vars(args)))
+    if unknown:
+        parser.error(f"unknown config keys: {', '.join(unknown)}")
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return _RUNNERS[args.command](parser, ns)
+        return _RUNNERS[args.command](args)
     except ValueError as exc:
         print(f"geostop {args.command}: error: {exc}", file=sys.stderr)
         return 2

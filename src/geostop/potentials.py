@@ -385,29 +385,6 @@ def _geometric_gradient(X, handle, grad_batch):
 # finite differences
 
 
-def heat_value_closed_origin(handle: PotentialHandle) -> float:
-    """Closed form of the time-weighted smoothed max at x = 0, before shifting.
-
-    sqrt(2 kappa) E[max of n normals] (sqrt(d) + e^d (sqrt(pi)/2) erfc(sqrt d)).
-    """
-    d = handle.delta
-    rd = math.sqrt(d)
-    emax = gaussian_max_expectation(handle.n)
-    return math.sqrt(2.0 * handle.kappa) * emax * (
-        rd + math.exp(d) * 0.5 * math.sqrt(math.pi) * special.erfc(rd))
-
-
-def max_value_closed_origin(handle: PotentialHandle) -> float:
-    """Closed form of the time-weighted ranked potential at x = 0, before shifting.
-
-    (n-1)/n sqrt(kappa) (e^d erfc(sqrt d) + (2/sqrt(pi)) sqrt(d)).
-    """
-    d = handle.delta
-    rd = math.sqrt(d)
-    return (handle.n - 1) / handle.n * math.sqrt(handle.kappa) * (
-        math.exp(d) * special.erfc(rd) + 2.0 / math.sqrt(math.pi) * rd)
-
-
 _FD_STEP = {1: 1e-5, 2: 2e-4, 3: 2e-3, 4: 6e-3}
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from geostop.bounds import (
-    BoundReport,
     ErrorConstants,
     REPORT_FIELDS,
     all_bounds,
@@ -150,8 +149,6 @@ def test_ratio_increasing_in_n():
 
 def test_bound_report_round_trip():
     rep = exp_weights_bound(4, 0.3)
-    again = BoundReport.from_dict(rep.to_dict())
-    assert again == rep
     row = rep.csv_row()
     assert len(row) == len(REPORT_FIELDS)
     assert row[0] == "exp_weights"

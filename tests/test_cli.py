@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from geostop import cli
 from geostop.cli import build_parser, main
 
 
@@ -40,6 +41,8 @@ def test_parser_lists_all_commands():
     ["bounds", "--n-range", "5:2", "--delta", "0.1"],
     ["bounds", "--n", "2", "--delta", "0.1", "--families", "cat"],
     ["nonsense"],
+    ["figure", "--n", "2", "--n-range", "2:4"],
+    ["bounds", "--n", "2", "--delta", "0.1", "--json", "maybe"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -105,6 +108,15 @@ def test_figure_log_axis(tmp_path, capsys):
                  "--log-x", "--out", str(out)]) == 0
     capsys.readouterr()
     assert "log10 N" in (tmp_path / "fig.svg").read_text()
+
+
+def test_figure_single_n(tmp_path, capsys):
+    out = tmp_path / "one"
+    assert main(["figure", "--n", "5", "--delta", "1e-4",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = _rows_from_csv((tmp_path / "one.csv").read_text())
+    assert [int(r["n"]) for r in rows] == [5] * 5
 
 
 def test_simulate_json_payload(tmp_path, capsys):
@@ -206,6 +218,9 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path, capsys):
     "mystery = 3\n",            # unknown key
     "delta = abc\n",            # uncoercible value
     "delta 0.1\n",              # missing '='
+    "delta = 0.1\nerrors = estimatd\n",   # not a choice
+    "delta = 0.1\njson = maybe\n",        # not a switch word
+    "delta = 0.1\nfam = exp\n",           # keys are not abbreviated
 ])
 def test_config_file_errors_exit_2(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
@@ -214,6 +229,49 @@ def test_config_file_errors_exit_2(tmp_path, capsys, text):
         main(["bounds", "--n", "2", "--config", str(cfg)])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text", [
+    "adversary = heat\nerrors = estimatd\n",
+    "adversary = comb\n",
+])
+def test_oracle_config_values_are_checked(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--n", "2", "--delta", "0.5", "--radius", "4",
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def _parsed_options(monkeypatch, argv):
+    seen = {}
+    monkeypatch.setitem(cli._RUNNERS, argv[0],
+                        lambda args: seen.update(vars(args)) or 0)
+    assert main(argv) == 0
+    del seen["config"]
+    return seen
+
+
+@pytest.mark.parametrize("base, key, value, later", [
+    (["verify"], "samples", "7", "9"),
+    (["verify"], "tol", "0.25", "0.5"),
+    (["verify"], "suite", "gradients", "lower"),
+    (["verify"], "out", "a.json", "b.json"),
+    (["bounds", "--n", "2", "--delta", "0.1"], "json", "yes", "off"),
+], ids=["int", "float", "choice", "string", "switch"])
+def test_config_entry_parses_like_its_flag(tmp_path, monkeypatch, base, key,
+                                           value, later):
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    by_config = _parsed_options(monkeypatch, base + ["--config", str(cfg)])
+    assert by_config == _parsed_options(monkeypatch, base + [flag, value])
+    overridden = _parsed_options(monkeypatch,
+                                 base + ["--config", str(cfg), flag, later])
+    assert overridden == _parsed_options(monkeypatch, base + [flag, later])
+    assert overridden[key] != by_config[key]
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

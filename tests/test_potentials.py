@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from geostop.bounds import ErrorConstants, heat_bounds, max_bounds
 from geostop.game import clip_simplex
 from geostop.potentials import (
     PotentialHandle,
@@ -20,14 +21,12 @@ from geostop.potentials import (
     heat_potential_fixed,
     heat_shift_constant,
     heat_upper_handle,
-    heat_value_closed_origin,
     kappa_m,
     kappa_s,
     max_lower_handle,
     max_potential_fixed,
     max_shift_constant,
     max_upper_handle,
-    max_value_closed_origin,
 )
 from geostop.specfun import composite_gauss_legendre
 
@@ -235,16 +234,16 @@ def test_exp_potential_and_gradient_identities():
 
 def test_heat_geometric_origin_matches_closed_form():
     for n, d in [(2, 1e-2), (3, 1e-4), (5, 1e-2)]:
-        h = heat_lower_handle(n, d)
-        got = h.value(np.zeros(n)) + h.shift_constant
-        np.testing.assert_allclose(got, heat_value_closed_origin(h), atol=1e-7)
+        got = heat_lower_handle(n, d).value(np.zeros(n))
+        want = heat_bounds(n, d, ErrorConstants.zero())[0].potential_at_zero
+        np.testing.assert_allclose(got, want, atol=1e-7)
 
 
 def test_max_geometric_origin_matches_closed_form():
     for n, d in [(2, 1e-2), (4, 1e-4)]:
-        h = max_upper_handle(n, d)
-        got = h.value(np.zeros(n)) - h.shift_constant
-        np.testing.assert_allclose(got, max_value_closed_origin(h), atol=1e-7)
+        got = max_upper_handle(n, d).value(np.zeros(n))
+        want = max_bounds(n, d, ErrorConstants.zero())[1].potential_at_zero
+        np.testing.assert_allclose(got, want, atol=1e-7)
 
 
 def test_geometric_translation_covariance():
