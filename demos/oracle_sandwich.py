@@ -27,7 +27,6 @@ from geostop import (
     max_upper_handle,
     ordering_check,
     player_sandwich,
-    potential_upper_source,
     value_iteration_adversary,
     value_iteration_player,
 )
@@ -45,13 +44,16 @@ print(f"n = {N}, delta = {DELTA}, lattice radius {RADIUS}")
 errors = estimate_error_constants(N, DELTA)
 lower = heat_lower_handle(N, DELTA)
 upper = max_upper_handle(N, DELTA)
+# The bound reports fold the Taylor remainder constants into usable error
+# terms; the player oracle reads its exits from the upper potential plus
+# its term, and the sandwich checks below use the same terms.
+lo_rep, _ = heat_bounds(N, DELTA, errors)
+_, hi_rep = max_bounds(N, DELTA, errors)
 
 adv = value_iteration_adversary(make_adversary("heat", N), N, DELTA,
                                 radius=RADIUS)
 ply = value_iteration_player(make_player("max", N, DELTA), N, DELTA,
-                             radius=RADIUS,
-                             upper_bound=potential_upper_source(
-                                 upper, errors.k3_max_upper))
+                             radius=RADIUS, error_term=hi_rep.error_term)
 
 lo0, hi0 = adv.bracket([0] * (N - 1))
 print(f"adversary oracle at the origin: [{lo0:.6f}, {hi0:.6f}] "
@@ -62,14 +64,10 @@ print(f"player oracle at the origin:    [{lo0:.6f}, {hi0:.6f}] "
 
 x0 = np.zeros(N)
 print(f"heat lower potential at 0:      {lower.value(x0):.6f} "
-      f"(certified error {errors.k3_heat_lower:.3f} in third derivatives)")
-print(f"max upper potential at 0:       {upper.value(x0):.6f}")
+      f"(error term {lo_rep.error_term:.3f}, {errors.mode})")
+print(f"max upper potential at 0:       {upper.value(x0):.6f} "
+      f"(error term {hi_rep.error_term:.3f}, {errors.mode})")
 print()
-
-# The certified reports already fold the Taylor remainder constants into
-# usable error terms, so the sandwich checks borrow theirs.
-lo_rep, _ = heat_bounds(N, DELTA, errors)
-_, hi_rep = max_bounds(N, DELTA, errors)
 
 describe("adversary lower", adversary_sandwich(adv, lower, lo_rep.error_term,
                                                errors.mode))

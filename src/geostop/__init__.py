@@ -60,7 +60,6 @@ from .oracle import (
     adversary_sandwich,
     ordering_check,
     player_sandwich,
-    potential_upper_source,
     value_iteration_adversary,
     value_iteration_player,
 )

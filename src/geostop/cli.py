@@ -31,8 +31,7 @@ from .bounds import (ErrorConstants, REPORT_FIELDS, comparison_curves,
                      estimate_error_constants, exp_weights_bound, heat_bounds,
                      max_bounds)
 from .oracle import (adversary_sandwich, check_lattice, player_sandwich,
-                     potential_upper_source, value_iteration_adversary,
-                     value_iteration_player)
+                     value_iteration_adversary, value_iteration_player)
 from .potentials import heat_lower_handle, max_lower_handle
 from .simulate import SimulationConfig, run
 from .strategies import (ADVERSARY_KINDS, PLAYER_KINDS, make_adversary,
@@ -348,15 +347,13 @@ def cmd_oracle(args) -> int:
     else:
         kind = args.player
         player = make_player(kind, n, delta)
-        handle = player.handle
         if kind == "exp":
             err, mode = 0.0, "exact"
         else:
             err, mode = _oracle_error(args, kind, 1)
-        lvf = value_iteration_player(
-            player, n, delta, radius, tol,
-            upper_bound=potential_upper_source(handle, err))
-        report = player_sandwich(lvf, handle, err, mode, tol)
+        lvf = value_iteration_player(player, n, delta, radius, tol,
+                                     error_term=err)
+        report = player_sandwich(lvf, player.handle, err, mode, tol)
         role = "player"
 
     if args.out:

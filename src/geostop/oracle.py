@@ -10,15 +10,16 @@ value at every retained state whenever that value moves by at most the
 projection distance, and the bracket width is the honest
 boundary-truncation error, shrinking geometrically away from the boundary.
 
-The plus-sign charge is far too loose for the best-response recursion
-against a fixed player: the inner max lets the adversary park at the
-boundary and milk the bonus, inflating the optimistic fixed point by
-O((1-delta)/delta) everywhere.  For that recursion the optimistic run can
-instead read boundary data from a candidate upper bound evaluated one step
-outside the domain (``upper_bound=``).  If the candidate really dominates
-the value out there, the resulting fixed point dominates the value on the
-whole domain, so comparing it back against the candidate certifies that
-the bound survives exact dynamic programming on the interior.
+The best-response recursion against a fixed player has no plus-sign
+charge: its inner max would let the adversary park at the boundary and
+milk the bonus, inflating the optimistic fixed point by O((1-delta)/delta)
+everywhere.  Its optimistic run instead reads each exit from the player's
+own upper potential plus an error term, evaluated at the actual target
+one step outside the domain.  If potential plus error dominates the value
+out there, the resulting fixed point dominates the value on the whole
+domain, so comparing it back against the potential certifies that the
+bound survives exact dynamic programming on the interior, which is the
+verification argument behind the paper's upper bounds.
 
 The engine does no per-state Python work.  States are indexed by a
 mixed-radix integer key whose order is their lexicographic order, so the
@@ -26,7 +27,7 @@ transition tables come from batched projections of the (state, outcome)
 targets, about a million at a time, and a ``searchsorted`` over the keys.
 The player sweeps keep their tables as (outcomes, states) arrays, so a
 sweep is one gather and a max over axis 0; exits of the optimistic run
-gather from precomputed candidate values stored past the end of the value
+gather from precomputed potential values stored past the end of the value
 vector.
 Lattices whose tables would exceed 10^7 entries (states times the 2^n
 vertex outcomes) are refused before anything is allocated.
@@ -35,7 +36,7 @@ vertex outcomes) are refused before anything is allocated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -177,11 +178,9 @@ class LatticeValueFunction:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def interior_mask(self, margin: int | None = None) -> np.ndarray:
-        """States at least ``margin`` away from the span limit (default radius/2)."""
-        if margin is None:
-            margin = self.radius // 2
-        return _span(self.states) <= self.radius - margin
+    def interior_mask(self) -> np.ndarray:
+        """States at least radius/2 away from the span limit."""
+        return _span(self.states) <= self.radius // 2
 
 
 def _transition_tables(states: np.ndarray, shifts: np.ndarray, radius: int):
@@ -256,8 +255,7 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
 
 def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
                            radius: int = 60, tol: float = 1e-8,
-                           outcomes: np.ndarray | None = None,
-                           upper_bound=None) -> LatticeValueFunction:
+                           error_term: float = 0.0) -> LatticeValueFunction:
     """Best adversary response against a fixed player, vertex outcomes only.
 
     The adversary is restricted to deterministic loss vectors in {-1,+1}^n
@@ -265,20 +263,21 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     response against this player; any valid upper potential for the player
     still dominates it.
 
-    ``upper_bound`` may be a callable mapping an array of full states
-    (rows of length n, last coordinate pinned to 0) to candidate
-    upper-bound values.  When given, the optimistic run values transitions
-    that leave the domain at the candidate evaluated at the actual target
-    state instead of charging the projection distance; see the module
-    docstring for why the distance charge cannot work here.
+    The pessimistic run charges the projection distance at exits.  The
+    optimistic run values each transition that leaves the domain at the
+    player's potential plus ``error_term``, evaluated at the actual target
+    state; see the module docstring.  A player without a potential raises
+    ValueError.
     """
+    if player.handle is None:
+        raise ValueError(f"player {player.kind!r} has no potential to read "
+                         "the optimistic run's exit values from")
     check_stopping_rate(delta)
     states = build_states(n, radius)
     g = np.maximum(states.max(axis=1), 0).astype(float)
 
-    if outcomes is None:
-        outcomes = np.array(list(itertools.product((-1, 1), repeat=n)),
-                            dtype=np.int64)
+    outcomes = np.array(list(itertools.product((-1, 1), repeat=n)),
+                        dtype=np.int64)
     shifts = outcomes[:, -1:] - outcomes[:, :-1]
     x_full = np.hstack([states, np.zeros((states.shape[0], 1), dtype=np.int64)])
     weights = player.weights_batch(x_full.astype(float))
@@ -289,6 +288,16 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     # sweeps gather and reduce over outcomes along axis 0 of (K, S) tables
     lin, nxt, dist = (np.ascontiguousarray(a.T) for a in (lin, nxt, dist))
 
+    # exits in state-major order: the batch order the potential sees can
+    # move the last bits of its values
+    si, ki = np.nonzero(dist.T > 0)
+    targets = states[si] + shifts[ki]
+    full = np.hstack([targets, np.zeros((targets.shape[0], 1), dtype=np.int64)])
+    exit_vals = player.handle.value_batch(full.astype(float)) + error_term
+    # exiting entries read past the end of v, from the exit values
+    gather = nxt.copy()
+    gather[ki, si] = states.shape[0] + np.arange(si.size)
+
     def best(cand):
         return delta * g + (1.0 - delta) * cand.max(axis=0)
 
@@ -298,39 +307,15 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
         cand -= dist
         return best(cand)
 
-    if upper_bound is None:
-        def update_hi(v):
-            cand = v[nxt]
-            cand += lin
-            cand += dist
-            return best(cand)
-    else:
-        # exits in state-major order: the batch order the candidate sees
-        # can move the last bits of its values
-        si, ki = np.nonzero(dist.T > 0)
-        targets = states[si] + shifts[ki]
-        full = np.hstack([targets, np.zeros((targets.shape[0], 1), dtype=np.int64)])
-        exit_vals = np.asarray(upper_bound(full.astype(float)), dtype=float)
-        # exiting entries read past the end of v, from the exit values
-        gather = nxt.copy()
-        gather[ki, si] = states.shape[0] + np.arange(si.size)
-
-        def update_hi(v):
-            cand = np.concatenate([v, exit_vals])[gather]
-            cand += lin
-            return best(cand)
+    def update_hi(v):
+        cand = np.concatenate([v, exit_vals])[gather]
+        cand += lin
+        return best(cand)
 
     v_lo, v_hi, residual, gap, sweeps = _iterate(g, delta, tol,
                                                  update_lo, update_hi)
     return LatticeValueFunction(n, delta, radius, states, v_lo, v_hi,
                                 residual, gap, sweeps)
-
-
-def potential_upper_source(handle: PotentialHandle, error_term: float = 0.0):
-    """Boundary-data callable for the optimistic player run: value + error."""
-    def source(x_full: np.ndarray) -> np.ndarray:
-        return handle.value_batch(np.asarray(x_full, dtype=float)) + error_term
-    return source
 
 
 @dataclass(frozen=True)
@@ -355,12 +340,7 @@ class SandwichReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "kind", "family", "side", "n", "delta", "checked_states",
-            "violations", "worst_margin", "error_term", "error_mode",
-            "max_bracket_width", "tol")}
-        d["passed"] = self.passed
-        return d
+        return {**asdict(self), "passed": self.passed}
 
 
 def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle):

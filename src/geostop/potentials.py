@@ -61,15 +61,12 @@ _YG_PDF_W = np.exp(-0.5 * _YG_NODES**2) / math.sqrt(2.0 * math.pi) * _YG_WEIGHTS
 _LOG_NDTR_YG = special.log_ndtr(_YG_NODES)
 _GRAD_TIME_ORDER = 6
 
-# Rows per chunk are capped so intermediate tensors stay near this many
-# doubles (~128 MB).
+# Kernels run on blocks of rows sized so that the temporaries _ROW_DOUBLES
+# counts hold at most this many doubles (~128 MB).
 _CHUNK_BUDGET = 16_000_000
-
-
-def _chunks(total: int, per_row: int):
-    step = max(1, _CHUNK_BUDGET // max(per_row, 1))
-    for start in range(0, total, step):
-        yield start, min(start + step, total)
+# (t, n) arrays counted per row of a max kernel: five or six are alive at
+# its peak (tracemalloc), and counting eight keeps blocks below the budget
+_MAX_LIVE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +244,12 @@ def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     maximum, integrating in units of sigma so one fixed rule serves all
     scales.
     """
-    b, n = X.shape
-    t = len(sigmas)
     m = X.max(axis=1)
-    out = np.empty((b, t))
-    per_row = t * len(_U_NODES) * n
-    for lo, hi in _chunks(b, per_row):
-        shifted = X[lo:hi] - m[lo:hi, None]
-        z = shifted[:, None, :] / sigmas[None, :, None]
-        args = _U_NODES[None, None, :, None] - z[:, :, None, :]
-        cdf = special.ndtr(args).prod(axis=-1)
-        g = np.where(_U_NODES[None, None, :] > 0.0, 1.0 - cdf, -cdf)
-        out[lo:hi] = m[lo:hi, None] + sigmas[None, :] * (g * _U_WEIGHTS).sum(-1)
-    return out
+    z = (X - m[:, None])[:, None, :] / sigmas[None, :, None]
+    args = _U_NODES[None, None, :, None] - z[:, :, None, :]
+    cdf = special.ndtr(args).prod(axis=-1)
+    g = np.where(_U_NODES[None, None, :] > 0.0, 1.0 - cdf, -cdf)
+    return m[:, None] + sigmas[None, :] * (g * _U_WEIGHTS).sum(-1)
 
 
 def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -269,18 +259,12 @@ def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     prod_{j != i} Phi(y + (x_i - x_j)/sigma) against the standard normal
     density, so entries are nonnegative and sum to one.
     """
-    b, n = X.shape
-    t = len(sigmas)
     diffs = X[:, :, None] - X[:, None, :]
-    out = np.empty((b, t, n))
-    per_row = t * len(_YG_NODES) * n * n
-    for lo, hi in _chunks(b, per_row):
-        z = diffs[lo:hi, None, :, :] / sigmas[None, :, None, None]
-        args = _YG_NODES[None, None, :, None, None] + z[:, :, None, :, :]
-        logcdf = special.log_ndtr(args)
-        s = logcdf.sum(axis=-1) - _LOG_NDTR_YG[None, None, :, None]
-        out[lo:hi] = (np.exp(s) * _YG_PDF_W[None, None, :, None]).sum(axis=2)
-    return out
+    z = diffs[:, None, :, :] / sigmas[None, :, None, None]
+    args = _YG_NODES[None, None, :, None, None] + z[:, :, None, :, :]
+    logcdf = special.log_ndtr(args)
+    s = logcdf.sum(axis=-1) - _LOG_NDTR_YG[None, None, :, None]
+    return (np.exp(s) * _YG_PDF_W[None, None, :, None]).sum(axis=2)
 
 
 def _ranked(X: np.ndarray):
@@ -333,6 +317,32 @@ def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return np.take_along_axis(g, inv[:, None, :], axis=-1)
 
 
+# doubles one row keeps live per sigma, given n: the heat kernels' largest
+# tensor, the max kernels' (t, n) temporaries
+_ROW_DOUBLES = {
+    _heat_value_batch: lambda n: _U_NODES.size * n,
+    _heat_grad_batch: lambda n: _YG_NODES.size * n * n,
+    _max_value_batch: lambda n: _MAX_LIVE * n,
+    _max_grad_batch: lambda n: _MAX_LIVE * n,
+}
+
+
+def _time_sum(kernel, X, sigmas, w):
+    """sum_i w[i] * kernel(X, sigmas)[:, i], evaluated in blocks of rows.
+
+    ``w`` holds one weight per sigma, shaped to broadcast against a row of
+    the kernel's output.  A block holds at most _CHUNK_BUDGET doubles as
+    _ROW_DOUBLES counts them.  Rows are computed independently, so the
+    blocking changes no bit of the result.
+    """
+    per_row = sigmas.size * _ROW_DOUBLES[kernel](X.shape[1])
+    step = max(1, _CHUNK_BUDGET // per_row)
+    if X.shape[0] <= step:
+        return (kernel(X, sigmas) * w).sum(axis=1)
+    return np.concatenate([(kernel(X[lo:lo + step], sigmas) * w).sum(axis=1)
+                           for lo in range(0, X.shape[0], step)])
+
+
 # ---------------------------------------------------------------------------
 # fixed-time interface
 
@@ -349,7 +359,7 @@ def heat_potential_fixed(x, t: float, kappa: float):
     """Smoothed-max solution of u_t + kappa Laplacian(u) = 0 at time t < 0."""
     sigma = _check_fixed_args(t, kappa)
     X, single = _as_batch(x)
-    vals = _heat_value_batch(X, np.array([sigma]))[:, 0]
+    vals = _time_sum(_heat_value_batch, X, np.array([sigma]), np.ones(1))
     return float(vals[0]) if single else vals
 
 
@@ -357,7 +367,7 @@ def max_potential_fixed(x, t: float, kappa: float):
     """Ranked closed-form solution of u_t + kappa max_i u_{x_i x_i} = 0 at t < 0."""
     sigma = _check_fixed_args(t, kappa)
     X, single = _as_batch(x)
-    vals = _max_value_batch(X, np.array([sigma]))[:, 0]
+    vals = _time_sum(_max_value_batch, X, np.array([sigma]), np.ones(1))
     return float(vals[0]) if single else vals
 
 
@@ -365,20 +375,19 @@ def max_potential_fixed(x, t: float, kappa: float):
 # geometric-horizon interface
 
 
-def _geometric_value(X, handle, value_batch):
+def _geometric_value(X, handle, kernel):
     t, w = exp_time_nodes(handle.delta)
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
-    vals = (value_batch(X, sigmas) * w).sum(axis=-1)
+    vals = _time_sum(kernel, X, sigmas, w)
     if handle.side == "lower":
         return vals - handle.shift_constant
     return vals + handle.shift_constant
 
 
-def _geometric_gradient(X, handle, grad_batch):
+def _geometric_gradient(X, handle, kernel):
     t, w = exp_time_nodes(handle.delta, order=_GRAD_TIME_ORDER)
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
-    g = (grad_batch(X, sigmas) * w[None, :, None]).sum(axis=1)
-    return clip_simplex(g)
+    return clip_simplex(_time_sum(kernel, X, sigmas, w[:, None]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +411,22 @@ def _stencil_eval(value_batch, X, offsets, steps):
     return np.asarray(vals).reshape(b, offsets.shape[0])
 
 
-def fd_gradient_batch(value_batch, X, steps=None) -> np.ndarray:
+def fd_gradient_batch(value_batch, X) -> np.ndarray:
     """Central-difference gradient of a batch evaluator at each row of X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[1]
-    if steps is None:
-        steps = np.array([fd_step(1, row) for row in X])
+    steps = np.array([fd_step(1, row) for row in X])
     eye = np.eye(n)
     offsets = np.concatenate([eye, -eye], axis=0)
     vals = _stencil_eval(value_batch, X, offsets, steps)
     return (vals[:, :n] - vals[:, n:]) / (2.0 * steps[:, None])
 
 
-def fd_hessian_batch(value_batch, X, steps=None) -> np.ndarray:
+def fd_hessian_batch(value_batch, X) -> np.ndarray:
     """Central-difference Hessians, shape (b, n, n), one batched evaluation."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     b, n = X.shape
-    if steps is None:
-        steps = np.array([fd_step(2, row) for row in X])
+    steps = np.array([fd_step(2, row) for row in X])
     eye = np.eye(n)
     offs = [np.zeros((1, n)), eye, -eye]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

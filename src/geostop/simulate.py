@@ -192,32 +192,18 @@ def run(cfg: SimulationConfig, threads: int | None = None,
     memo = _WeightMemo(cfg.player)
     spans = [(s, min(s + _TRIALS_PER_CHUNK, cfg.trials))
              for s in range(0, cfg.trials, _TRIALS_PER_CHUNK)]
-    workers = thread_count(threads)
+    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
+        outs = list(pool.map(
+            lambda s: _run_chunk(cfg, s[0], s[1], memo, collect_outcomes),
+            spans))
 
-    regrets = np.empty(cfg.trials)
-    rounds = np.empty(cfg.trials, dtype=np.int64)
+    regrets = np.concatenate([out[0] for out in outs])
+    rounds = np.concatenate([out[1] for out in outs])
     truncated = 0
     q_sum = np.zeros(cfg.n)
     q_sq = np.zeros(cfg.n)
     n_outcomes = 0
-
-    def handle(span, out):
-        start, stop = span
-        reg, rnd, trunc, stats = out
-        regrets[start:stop] = reg
-        rounds[start:stop] = rnd
-        return trunc, stats
-
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(
-                lambda s: _run_chunk(cfg, s[0], s[1], memo, collect_outcomes),
-                spans))
-    else:
-        outs = [_run_chunk(cfg, s[0], s[1], memo, collect_outcomes)
-                for s in spans]
-    for span, out in zip(spans, outs):
-        trunc, (qs, qq, no) = handle(span, out)
+    for _, _, trunc, (qs, qq, no) in outs:
         truncated += trunc
         q_sum += qs
         q_sq += qq

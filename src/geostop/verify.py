@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,13 +66,10 @@ class CheckReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        d = {
-            "name": self.name, "family": self.family, "side": self.side,
-            "n": self.n, "delta": self.delta, "samples": self.samples,
-            "violations": self.violations, "worst_margin": self.worst_margin,
-            "tol": self.tol, "passed": self.passed,
-        }
-        d.update({f"detail_{k}": v for k, v in self.details.items()})
+        d = asdict(self)
+        details = d.pop("details")
+        d["passed"] = self.passed
+        d.update({f"detail_{k}": v for k, v in details.items()})
         return d
 
 
@@ -164,8 +161,7 @@ def _ascent_form_max(hess: np.ndarray, rng: np.random.Generator,
 
 
 def check_upper_condition(handle: PotentialHandle, xs: np.ndarray,
-                          tol: float = 1e-4,
-                          rng: np.random.Generator | None = None) -> CheckReport:
+                          tol: float, rng: np.random.Generator) -> CheckReport:
     """Potential >= max coordinate + worst-case curvature over the cube.
 
     The cube maximum of the quadratic form is taken over all sign vertices
@@ -176,7 +172,6 @@ def check_upper_condition(handle: PotentialHandle, xs: np.ndarray,
     m, n = xs.shape
     d = handle.delta
     c = (1.0 - d) / (2.0 * d)
-    rng = np.random.default_rng(0) if rng is None else rng
     hess = fd_hessian_batch(handle.value_batch, xs)
     vertex = _vertex_form_max(hess)
     ascent = _ascent_form_max(hess, rng)
@@ -222,11 +217,10 @@ def check_final_time(handle: PotentialHandle, xs: np.ndarray,
 
 def check_translation_and_monotone(
         handle: PotentialHandle, xs: np.ndarray,
-        rng: np.random.Generator | None = None) -> CheckReport:
+        rng: np.random.Generator) -> CheckReport:
     """Adding c to every coordinate adds c to the value; gradients stay nonnegative."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, n = xs.shape
-    rng = np.random.default_rng(1) if rng is None else rng
     c = rng.uniform(-5.0, 5.0, size=m)
     base = np.asarray(handle.value_batch(xs))
     shifted = np.asarray(handle.value_batch(xs + c[:, None]))

@@ -26,7 +26,6 @@ from geostop.bounds import (
 from geostop.oracle import (
     adversary_sandwich,
     player_sandwich,
-    potential_upper_source,
     value_iteration_adversary,
     value_iteration_player,
 )
@@ -124,9 +123,7 @@ def test_softmax_bound_formula_and_restricted_oracle():
             assert rep.error_term == 0.0
             assert rep.error_mode == "exact"
 
-    handle = exp_handle(2, 0.5)
-    lvf = value_iteration_player(make_player("exp", 2, 0.5), 2, 0.5, radius=20,
-                                 upper_bound=potential_upper_source(handle))
+    lvf = value_iteration_player(make_player("exp", 2, 0.5), 2, 0.5, radius=20)
     bound = exp_weights_bound(2, 0.5).bound
     assert lvf.bracket([0])[1] <= bound + 1e-6
 
@@ -194,17 +191,15 @@ def test_lattice_sandwich_matrix():
                                      rep.worst_margin))
 
             player_cases = (
-                ("exp", exp_handle(n, delta), 0.0, "exact"),
-                ("heat", heat_upper_handle(n, delta), h_hi.error_term,
-                 "numerically_estimated"),
-                ("max", max_upper_handle(n, delta), m_hi.error_term,
-                 "numerically_estimated"),
+                ("exp", 0.0, "exact"),
+                ("heat", h_hi.error_term, "numerically_estimated"),
+                ("max", m_hi.error_term, "numerically_estimated"),
             )
-            for kind, handle, err, mode in player_cases:
-                lvf = value_iteration_player(
-                    make_player(kind, n, delta), n, delta, radius, tol,
-                    upper_bound=potential_upper_source(handle, err))
-                rep = player_sandwich(lvf, handle, err, mode, tol)
+            for kind, err, mode in player_cases:
+                player = make_player(kind, n, delta)
+                lvf = value_iteration_player(player, n, delta, radius, tol,
+                                             error_term=err)
+                rep = player_sandwich(lvf, player.handle, err, mode, tol)
                 assert rep.error_term == err
                 if not rep.passed:
                     failures.append(("player", kind, n, delta,

@@ -1,9 +1,12 @@
 """The README's quick start runs and its library section names the
-package exports; the demos' imports from geostop resolve; every export
-has a caller outside the tests."""
+package exports; the demos' imports from geostop resolve and the oracle
+demo runs; every export has a caller outside the tests."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 import tokenize
 from pathlib import Path
 
@@ -33,6 +36,18 @@ def test_demo_imports_resolve(demo):
     assert names, f"{demo.name} imports nothing from geostop"
     missing = [name for name in names if not hasattr(geostop, name)]
     assert not missing, f"{demo.name} imports missing names: {missing}"
+
+
+def test_oracle_demo_runs_clean():
+    # the import check above cannot see a keyword the library dropped
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    demo = ROOT / "demos" / "oracle_sandwich.py"
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "VIOLATIONS" not in proc.stdout
 
 
 def test_readme_library_section_names_the_exports():

@@ -12,12 +12,11 @@ from geostop.oracle import (
     build_states,
     ordering_check,
     player_sandwich,
-    potential_upper_source,
     project_state,
     value_iteration_adversary,
     value_iteration_player,
 )
-from geostop.potentials import exp_handle, heat_upper_handle, max_upper_handle
+from geostop.potentials import exp_handle
 from geostop.strategies import make_adversary, make_player
 
 
@@ -29,10 +28,9 @@ def adv_half():
 
 @pytest.fixture(scope="module")
 def ply_half():
-    handle = exp_handle(2, 0.5)
-    lvf = value_iteration_player(make_player("exp", 2, 0.5), 2, 0.5, radius=20,
-                                 upper_bound=potential_upper_source(handle))
-    return lvf, handle
+    player = make_player("exp", 2, 0.5)
+    lvf = value_iteration_player(player, 2, 0.5, radius=20)
+    return lvf, player.handle
 
 
 @pytest.mark.parametrize("n, radius, count", [(2, 4, 5), (3, 2, 7),
@@ -173,8 +171,9 @@ def test_transition_tables_match_the_loop(law, block, monkeypatch):
 
 
 # sweeps, residual, fixed_point_gap and the origin bracket at n=3, r=20,
-# delta=0.1, as the loop-built tables and (S, K) sweeps gave them; any
-# change in the order of the sweep arithmetic shows up here
+# delta=0.1, as the loop-built tables and (S, K) sweeps gave them with exits
+# read from the player's potential; any change in the order of the sweep
+# arithmetic shows up here
 _PINNED = {
     ("adversary", "heat"): (179, 1.0349889834060377e-09, 9.31490085065434e-09,
                             2.4228216118855586, 2.5157065942138184),
@@ -187,8 +186,6 @@ _PINNED = {
     ("player", "heat"): (153, 1.0314771259345434e-09, 9.283294133410891e-09,
                          3.118950212983792, 3.4759294536511645),
 }
-_UPPER_HANDLES = {"exp": exp_handle, "max": max_upper_handle,
-                  "heat": heat_upper_handle}
 
 
 @pytest.mark.parametrize("role, kind", list(_PINNED))
@@ -198,9 +195,8 @@ def test_pinned_outputs(role, kind):
         lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
                                         radius=radius)
     else:
-        source = potential_upper_source(_UPPER_HANDLES[kind](n, delta))
         lvf = value_iteration_player(make_player(kind, n, delta), n, delta,
-                                     radius=radius, upper_bound=source)
+                                     radius=radius)
     got = (lvf.sweeps, lvf.residual, lvf.fixed_point_gap) + lvf.bracket([0, 0])
     assert got == _PINNED[role, kind]
 
@@ -225,10 +221,6 @@ def test_immediate_stop_returns_the_score():
     g = np.maximum(adv.states.max(axis=1), 0)
     np.testing.assert_array_equal(adv.lower, g)
     np.testing.assert_array_equal(adv.upper, g)
-    ply = value_iteration_player(make_player("uniform", 2, 1.0), 2, 1.0,
-                                 radius=8)
-    np.testing.assert_array_equal(ply.lower, g)
-    np.testing.assert_array_equal(ply.upper, g)
 
 
 def test_adversary_origin_value_frozen(adv_half):
@@ -286,30 +278,29 @@ def test_player_origin_value_frozen_and_dominated(ply_half):
 
 
 def test_boundary_source_tames_the_optimistic_run():
-    # With a long mean horizon the projection-distance bonus compounds and
-    # the plain optimistic run overshoots even the softmax bound it is
-    # meant to test; reading boundary data from the bound itself keeps the
-    # run below it.  The pessimistic run is shared and must not care.
+    # With a long mean horizon a projection-distance bonus at exits would
+    # compound far past the softmax bound; reading exits from the bound
+    # itself keeps the optimistic run below it.
     delta = 0.05
-    handle = exp_handle(2, delta)
     player = make_player("exp", 2, delta)
-    src = value_iteration_player(player, 2, delta, radius=20,
-                                 upper_bound=potential_upper_source(handle))
-    chg = value_iteration_player(player, 2, delta, radius=20)
-    i0 = src.state_index([0])
-    bound0 = handle.value([0.0, 0.0])
-    assert src.upper[i0] <= bound0 + 1e-6
-    assert chg.upper[i0] > bound0 + 10.0
-    np.testing.assert_allclose(src.lower, chg.lower, atol=1e-7)
+    src = value_iteration_player(player, 2, delta, radius=20)
+    bound0 = player.handle.value([0.0, 0.0])
+    assert src.upper[src.state_index([0])] <= bound0 + 1e-6
 
 
-def test_vertex_subsets_only_lower_the_best_response():
-    player = make_player("uniform", 2, 0.3)
-    full = value_iteration_player(player, 2, 0.3, radius=12)
-    pair = value_iteration_player(player, 2, 0.3, radius=12,
-                                  outcomes=np.array([[-1, 1], [1, -1]]))
-    assert np.all(pair.lower <= full.lower + 1e-6)
-    assert np.all(pair.upper <= full.upper + 1e-6)
+def test_error_term_lifts_only_the_optimistic_run():
+    player = make_player("exp", 2, 0.1)
+    base = value_iteration_player(player, 2, 0.1, radius=12)
+    lifted = value_iteration_player(player, 2, 0.1, radius=12, error_term=2.5)
+    np.testing.assert_array_equal(lifted.lower, base.lower)
+    assert np.all(lifted.upper >= base.upper)
+    assert np.any(lifted.upper > base.upper)
+
+
+def test_player_without_a_potential_is_refused():
+    with pytest.raises(ValueError, match="no potential"):
+        value_iteration_player(make_player("uniform", 2, 0.3), 2, 0.3,
+                               radius=12)
 
 
 def test_player_sandwich_certifies_the_softmax_bound(ply_half):
@@ -360,12 +351,3 @@ def test_lattice_accessors(adv_half):
     assert lo <= hi
     assert adv_half.value([4]) == 0.5 * (lo + hi)
     assert np.all(adv_half.width() >= 0.0)
-    assert adv_half.interior_mask(4).sum() > adv_half.interior_mask(8).sum()
-
-
-def test_potential_upper_source_offsets_by_the_error_term():
-    handle = exp_handle(2, 0.5)
-    base = potential_upper_source(handle)
-    lifted = potential_upper_source(handle, 2.5)
-    X = np.array([[2.0, 0.0], [0.0, 0.0], [-4.0, 0.0]])
-    np.testing.assert_allclose(lifted(X), base(X) + 2.5, rtol=1e-14)

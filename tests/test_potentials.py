@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from geostop import potentials
 from geostop.bounds import ErrorConstants, heat_bounds, max_bounds
 from geostop.game import clip_simplex
 from geostop.potentials import (
@@ -338,6 +339,19 @@ def test_pinned_handle_outputs():
         X = _pinned_states(int(n))
         assert h.value_batch(X).tolist() == want["value"], key
         assert h.gradient_batch(X).tolist() == want["gradient"], key
+
+
+def test_row_blocks_leave_every_bit_alone(monkeypatch):
+    # a tiny budget splits 40 rows into blocks of one to a few rows
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(40, 4)) * 6.0)
+    handles = [f(4, 0.05) for f in _FACTORIES.values()]
+    whole = [(h.value_batch(X), h.gradient_batch(X)) for h in handles]
+    monkeypatch.setattr(potentials, "_CHUNK_BUDGET", 20_000)
+    for h, (value, grad) in zip(handles, whole):
+        assert np.array_equal(h.value_batch(X), value), h
+        assert np.array_equal(h.gradient_batch(X), grad), h
+        assert h.value_batch(X[:0]).shape == (0,)
 
 
 def test_handle_validation():

@@ -57,7 +57,7 @@ def test_lower_condition_is_nearly_an_equality_for_heat():
 def test_upper_condition_reports_the_softmax_cap():
     rng = np.random.default_rng(2)
     xs = sample_states(3, 0.1, 30, rng)
-    report = check_upper_condition(exp_handle(3, 0.1), xs, rng=rng)
+    report = check_upper_condition(exp_handle(3, 0.1), xs, 1e-4, rng)
     assert report.passed
     assert report.details["eta_cap_margin"] <= 1e-4
     assert report.details["ascent_excess"] <= 1e-6
