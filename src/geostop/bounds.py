@@ -25,7 +25,7 @@ from .specfun import (
     laplace_inv1_bound,
     laplace_inv32_integral,
 )
-from .strategies import _ENUM_LIMIT, heat_adversary_support
+from .strategies import heat_adversary_support
 
 __all__ = [
     "ErrorConstants", "BoundReport",
@@ -114,16 +114,11 @@ def estimate_error_constants(n: int, delta: float,
     (plus the origin and a near-tie point), times log-spaced in
     [-10, -delta], and directions taken from the relevant adversary
     supports for the lower families and from the sign cube for the upper
-    families.
+    families; past the heat support's limit on n it raises ValueError at once.
     """
+    heat_qs = [q for q in heat_adversary_support(n) if tuple(q) >= tuple(-q)]
     rng = np.random.default_rng(seed + 1)
     xs, ts = _estimation_grid(n, delta, seed)
-
-    support = heat_adversary_support(n) if n <= _ENUM_LIMIT else None
-    if support is not None:
-        heat_qs = [q for q in support if tuple(q) >= tuple(-q)]
-    else:
-        heat_qs = list(np.sign(rng.standard_normal((8, n))))
     cube_qs = _cube_directions(n, rng)
 
     k_heat_lo = heat_lower_handle(n, delta).kappa

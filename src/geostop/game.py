@@ -25,9 +25,10 @@ def clip_simplex(p) -> np.ndarray:
     Accepts a single weight vector or a batch with vectors in rows.
     """
     p = np.asarray(p, dtype=float)
-    if np.min(p) < -SIMPLEX_NEG_TOL:
+    low = p.min(initial=0.0)  # an empty batch has no entry to check
+    if low < -SIMPLEX_NEG_TOL:
         raise ValueError(
-            f"weight {np.min(p):.3e} below -{SIMPLEX_NEG_TOL:.0e}; not round-off"
+            f"weight {low:.3e} below -{SIMPLEX_NEG_TOL:.0e}; not round-off"
         )
     p = np.maximum(p, 0.0)
     s = p.sum(axis=-1, keepdims=True)

@@ -230,6 +230,8 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
     for balanced adversaries); the state transition does not depend on the
     followed expert.
     """
+    if adversary.n != n:
+        raise ValueError(f"adversary built for n={adversary.n}, not n={n}")
     check_stopping_rate(delta)
     states = build_states(n, radius)
     g = np.maximum(states.max(axis=1), 0).astype(float)
@@ -269,6 +271,9 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     state; see the module docstring.  A player without a potential raises
     ValueError.
     """
+    if (player.n, player.delta) != (n, delta):
+        raise ValueError(f"player built for n={player.n}, delta={player.delta}, "
+                         f"not n={n}, delta={delta}")
     if player.handle is None:
         raise ValueError(f"player {player.kind!r} has no potential to read "
                          "the optimistic run's exit values from")

@@ -67,6 +67,9 @@ _CHUNK_BUDGET = 16_000_000
 # (t, n) arrays counted per row of a max kernel: five or six are alive at
 # its peak (tracemalloc), and counting eight keeps blocks below the budget
 _MAX_LIVE = 8
+# copies of its largest tensor a heat kernel keeps alive at once: the
+# arguments, their ndtr/log_ndtr, and the weighted product
+_HEAT_LIVE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +320,11 @@ def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return np.take_along_axis(g, inv[:, None, :], axis=-1)
 
 
-# doubles one row keeps live per sigma, given n: the heat kernels' largest
-# tensor, the max kernels' (t, n) temporaries
+# doubles one row keeps live per sigma, given n: copies of the heat
+# kernels' largest tensor, the max kernels' (t, n) temporaries
 _ROW_DOUBLES = {
-    _heat_value_batch: lambda n: _U_NODES.size * n,
-    _heat_grad_batch: lambda n: _YG_NODES.size * n * n,
+    _heat_value_batch: lambda n: _HEAT_LIVE * _U_NODES.size * n,
+    _heat_grad_batch: lambda n: _HEAT_LIVE * _YG_NODES.size * n * n,
     _max_value_batch: lambda n: _MAX_LIVE * n,
     _max_grad_batch: lambda n: _MAX_LIVE * n,
 }

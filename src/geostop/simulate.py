@@ -52,6 +52,10 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_stopping_rate(self.delta)
+        if (self.player.n, self.player.delta, self.adversary.n) != (
+                self.n, self.delta, self.n):
+            raise ValueError("player and adversary do not match the game's "
+                             f"n={self.n}, delta={self.delta}")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.max_rounds_cap is None:
@@ -172,8 +176,7 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
         active = np.nonzero(rounds > r)[0]
         states = x[active]
         support, probs = cfg.adversary.outcomes_batch(states.astype(float))
-        k = _select(np.cumsum(probs)[None, :].repeat(len(active), 0),
-                    u[active, 2 * r])
+        k = _select(np.cumsum(probs)[None, :], u[active, 2 * r])
         q = support[np.arange(len(active)), k].astype(np.int64)
         w = memo.lookup(states)
         i = _select(np.cumsum(w, axis=1), u[active, 2 * r + 1])

@@ -145,13 +145,14 @@ def _exp_time_rule(delta: float, cutoff: float, max_panels: int, order: int):
     return t, weights
 
 
+@functools.lru_cache(maxsize=512)
 def exp_time_nodes(delta: float, quad: QuadratureSettings = DEFAULT_QUAD,
                    order: int = 12):
     """Nodes t_i < 0 and weights w_i with e^d int e^t g(t) dt ~ sum w_i g(t_i).
 
-    The rule is checked once per (delta, settings) against a doubled-order
-    variant on smooth probe integrands; if they disagree beyond the
-    settings' tolerances the doubled order is kept.
+    The rule is checked once per (delta, settings, order) against a
+    doubled-order variant on smooth probe integrands; if they disagree
+    beyond the settings' tolerances the doubled order is kept.
     """
     d = float(delta)
     if not 0.0 < d < 1.0:

@@ -147,9 +147,9 @@ def test_curvature_conditions_across_sizes_and_rates():
                                       make_adversary("heat", n), xs, tol),
                 check_lower_condition(max_lower_handle(n, delta),
                                       make_adversary("max", n), xs, tol),
-                check_upper_condition(heat_upper_handle(n, delta), xs, tol, rng),
-                check_upper_condition(max_upper_handle(n, delta), xs, tol, rng),
-                check_upper_condition(exp_handle(n, delta), xs, tol, rng),
+                check_upper_condition(heat_upper_handle(n, delta), xs, tol),
+                check_upper_condition(max_upper_handle(n, delta), xs, tol),
+                check_upper_condition(exp_handle(n, delta), xs, tol),
             ]
             bad = [(r.name, r.family, n, delta, r.worst_margin)
                    for r in reports if not r.passed]

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,13 @@ def test_pinned_error_constants():
         got = estimate_error_constants(n, 0.01, seed=1)
         assert (got.k3_heat_lower, got.k4_heat_lower, got.k3_heat_upper,
                 got.k3_max_lower, got.k3_max_upper) == want, n
+
+
+def test_error_constants_refuse_past_the_heat_support_at_once():
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="n <= 20"):
+        estimate_error_constants(21, 0.1)
+    assert time.monotonic() - start < 5.0
 
 
 def test_all_bounds_families_and_sides():

@@ -297,6 +297,18 @@ def test_error_term_lifts_only_the_optimistic_run():
     assert np.any(lifted.upper > base.upper)
 
 
+def test_player_for_another_game_is_refused():
+    with pytest.raises(ValueError, match="player built for"):
+        value_iteration_player(make_player("exp", 3, 0.1), 2, 0.1, radius=12)
+    with pytest.raises(ValueError, match="player built for"):
+        value_iteration_player(make_player("exp", 2, 0.2), 2, 0.1, radius=12)
+
+
+def test_adversary_for_another_game_is_refused():
+    with pytest.raises(ValueError, match="adversary built for"):
+        value_iteration_adversary(make_adversary("max", 3), 2, 0.1, radius=12)
+
+
 def test_player_without_a_potential_is_refused():
     with pytest.raises(ValueError, match="no potential"):
         value_iteration_player(make_player("uniform", 2, 0.3), 2, 0.3,

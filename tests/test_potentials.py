@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from geostop.potentials import (
     max_upper_handle,
 )
 from geostop.specfun import composite_gauss_legendre
+from geostop.strategies import make_player
 
 RATIO = lambda d: (1.0 - d) / d
 
@@ -352,6 +354,28 @@ def test_row_blocks_leave_every_bit_alone(monkeypatch):
         assert np.array_equal(h.value_batch(X), value), h
         assert np.array_equal(h.gradient_batch(X), grad), h
         assert h.value_batch(X[:0]).shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORIES))
+def test_empty_batches_give_empty_gradients(name):
+    grads = _FACTORIES[name](3, 0.1).gradient_batch(np.zeros((0, 3)))
+    assert grads.shape == (0, 3)
+
+
+def test_heat_blocks_stay_inside_the_budget(monkeypatch):
+    # every heat tensor alive at a block's peak counts against the budget
+    budget = 2_000_000
+    monkeypatch.setattr(potentials, "_CHUNK_BUDGET", budget)
+    X = np.round(np.random.default_rng(8).normal(size=(100, 3)) * 10.0)
+    for evaluate in (make_player("heat", 3, 0.01).weights_batch,
+                     heat_upper_handle(3, 0.01).value_batch):
+        tracemalloc.start()
+        try:
+            evaluate(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * budget, (evaluate, peak / 2**20)
 
 
 def test_handle_validation():

@@ -152,6 +152,12 @@ def test_config_validation():
                          seed=0)
     with pytest.raises(ValueError):
         make_player("heat", 2, 0.0)
+    for player, adversary in ((make_player("heat", 2, 0.05), a),
+                              (make_player("uniform", 3, 0.2), a),
+                              (p, make_adversary("heat", 3))):
+        with pytest.raises(ValueError, match="do not match"):
+            SimulationConfig(n=2, delta=0.2, player=player,
+                             adversary=adversary, trials=16, seed=0)
     cfg = _config(delta=0.1)
     assert cfg.max_rounds_cap == math.ceil(50 / 0.1)
 

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geostop.potentials import (
     exp_handle,
@@ -9,6 +13,7 @@ from geostop.potentials import (
 from geostop.strategies import make_adversary
 from geostop.verify import (
     SUITES,
+    _cube_form_bound,
     check_final_time,
     check_gradient_consistency,
     check_lower_condition,
@@ -57,10 +62,35 @@ def test_lower_condition_is_nearly_an_equality_for_heat():
 def test_upper_condition_reports_the_softmax_cap():
     rng = np.random.default_rng(2)
     xs = sample_states(3, 0.1, 30, rng)
-    report = check_upper_condition(exp_handle(3, 0.1), xs, 1e-4, rng)
+    report = check_upper_condition(exp_handle(3, 0.1), xs, 1e-4)
     assert report.passed
     assert report.details["eta_cap_margin"] <= 1e-4
-    assert report.details["ascent_excess"] <= 1e-6
+    assert report.details["diagonal_slack"] <= 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 5), data=st.data())
+def test_cube_form_bound_brackets_the_cube_maximum(n, data):
+    # The grid holds every vertex, so its maximum lies between the vertex
+    # scan (the bound minus its slack) and the bound, even where the
+    # diagonal is negative and the maximum sits inside the cube.
+    entries = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * n,
+                                 max_size=n * n))
+    a = np.array(entries).reshape(n, n)
+    hess = np.triu(a) + np.triu(a, 1).T
+    bound, slack = _cube_form_bound(hess[None])
+    axis = np.linspace(-1.0, 1.0, 9)
+    grid = np.array(list(itertools.product(axis, repeat=n)))
+    grid_max = np.einsum("ki,ij,kj->k", grid, hess, grid).max()
+    assert bound[0] - slack[0] - 1e-12 <= grid_max <= bound[0] + 1e-12
+
+
+def test_gradient_check_of_only_near_ties_reports_no_states():
+    report = check_gradient_consistency(max_upper_handle(3, 0.1),
+                                        [[5.0, 5.0 - 1e-6, 0.0]])
+    assert report.samples == 0
+    assert report.details["skipped_near_ties"] == 1
+    assert report.passed
 
 
 def test_final_time_bounds_by_family():
