@@ -22,12 +22,10 @@ from .potentials import (
     default_eta,
     exp_handle,
     heat_lower_handle,
-    heat_potential_fixed,
     heat_upper_handle,
     kappa_m,
     kappa_s,
     max_lower_handle,
-    max_potential_fixed,
     max_upper_handle,
 )
 from .strategies import (

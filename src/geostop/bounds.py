@@ -5,8 +5,8 @@ the potential at the origin plus or minus an error term controlled by a
 third (or, for symmetric adversaries, fourth) derivative constant.  The
 derivative constants have no closed form here, so by default they are
 estimated numerically by scanning finite-difference directional
-derivatives of the fixed-time potentials over a deterministic grid; the
-mode field of every report records that provenance.
+derivatives of the handles' fixed-time solutions over a deterministic
+grid; the mode field of every report records that provenance.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .potentials import (fd_step, heat_lower_handle, heat_potential_fixed,
+from .potentials import (PotentialHandle, fd_step, heat_lower_handle,
                          heat_upper_handle, kappa_m, kappa_s, max_lower_handle,
-                         max_potential_fixed, max_upper_handle)
+                         max_upper_handle)
 from .specfun import (
     gaussian_max_expectation,
     laplace_inv1_bound,
@@ -60,6 +60,9 @@ class ErrorConstants:
 # states and times of the estimation grid
 _GRID_STATES = 20
 _GRID_TIMES = 7
+# stencil coordinates one scan evaluates at once (32 MB): one block up to
+# n = 12, and no multi-GB allocation from the 2^(n-1) sign cube above it
+_SCAN_POINTS = 4_000_000
 
 # central differences along a direction: offsets, coefficients, divisor
 _CENTRAL_STENCILS = {
@@ -82,18 +85,32 @@ def _estimation_grid(n: int, delta: float, seed: int):
     return xs, ts
 
 
-def _directional_scan(value_batch, xs, ts, qs, order: int) -> float:
-    """max over the grid of |t|^p |D^order u(x,t)[q,..,q]|, p = 1 or 3/2."""
+def _directional_scan(handle: PotentialHandle, xs, ts, qs,
+                      order: int) -> float:
+    """max over the grid of |t|^p |D^order u(x,t)[q,..,q]|, p = 1 or 3/2.
+
+    Every (state, direction) stencil is evaluated in one fixed_value_batch
+    call per grid time, over blocks of at most _SCAN_POINTS coordinates.
+    """
     mults, coeffs, denom = _CENTRAL_STENCILS[order]
     power = 1.0 if order == 3 else 1.5
+    n = xs.shape[1]
+    hs = [fd_step(order, x) for x in xs]
+    steps = np.array(hs)[:, None] * mults
+    pairs = len(xs) * len(qs)
+    per_block = max(1, _SCAN_POINTS // (mults.size * n))
     worst = 0.0
-    for x in xs:
-        h = fd_step(order, x)
-        for q in qs:
-            pts = x[None, :] + (h * mults)[:, None] * q[None, :]
-            for t in ts:
-                vals = value_batch(pts, float(t))
-                d = abs(float(np.dot(coeffs, vals)) / (denom * h**order))
+    for lo in range(0, pairs, per_block):
+        ix, iq = divmod(np.arange(lo, min(lo + per_block, pairs)), len(qs))
+        pts = xs[ix, None, :] + steps[ix, :, None] * qs[iq, None, :]
+        pts = pts.reshape(-1, n)
+        scales = [denom * hs[i] ** order for i in ix]
+        for t in ts:
+            vals = handle.fixed_value_batch(pts, float(t)).reshape(ix.size, -1)
+            # one np.dot per stencil: a matmul over all of them sums in
+            # another order and moves k4_heat_lower by 7.7% (ROADMAP item 3)
+            for row, scale in zip(vals, scales):
+                d = abs(float(np.dot(coeffs, row)) / scale)
                 worst = max(worst, abs(t) ** power * d)
     return worst
 
@@ -103,7 +120,7 @@ def _cube_directions(n: int, rng: np.random.Generator, extra: int = 12):
     qs = [2.0 * np.array(v, dtype=float) - 1.0 for v in verts]
     qs = [q for q in qs if q[0] > 0]  # quadratic/cubic forms are sign-paired
     qs += list(rng.uniform(-1.0, 1.0, size=(extra, n)))
-    return qs
+    return np.array(qs)
 
 
 def estimate_error_constants(n: int, delta: float,
@@ -116,35 +133,23 @@ def estimate_error_constants(n: int, delta: float,
     supports for the lower families and from the sign cube for the upper
     families; past the heat support's limit on n it raises ValueError at once.
     """
-    heat_qs = [q for q in heat_adversary_support(n) if tuple(q) >= tuple(-q)]
+    heat_qs = np.array([q for q in heat_adversary_support(n)
+                        if tuple(q) >= tuple(-q)])
     rng = np.random.default_rng(seed + 1)
     xs, ts = _estimation_grid(n, delta, seed)
     cube_qs = _cube_directions(n, rng)
 
-    k_heat_lo = heat_lower_handle(n, delta).kappa
-    k_heat_hi = heat_upper_handle(n, delta).kappa
-    k_max_lo = max_lower_handle(n, delta).kappa
-    k_max_hi = max_upper_handle(n, delta).kappa
-
-    def heat_lo(pts, t):
-        return heat_potential_fixed(pts, t, k_heat_lo)
-
-    def heat_hi(pts, t):
-        return heat_potential_fixed(pts, t, k_heat_hi)
-
-    def max_lo(pts, t):
-        return max_potential_fixed(pts, t, k_max_lo)
-
-    def max_hi(pts, t):
-        return max_potential_fixed(pts, t, k_max_hi)
+    heat_lo = heat_lower_handle(n, delta)
+    heat_hi = heat_upper_handle(n, delta)
+    max_lo = max_lower_handle(n, delta)
+    max_hi = max_upper_handle(n, delta)
 
     leader_qs = []
     for x in xs:
         q = np.full(n, -1.0)
         q[int(np.argmax(x))] = 1.0
         leader_qs.append(q)
-    leader_qs = {tuple(q) for q in leader_qs}
-    leader_qs = [np.array(q) for q in leader_qs]
+    leader_qs = np.array(list({tuple(q) for q in leader_qs}))
 
     return ErrorConstants(
         k3_heat_lower=_directional_scan(heat_lo, xs, ts, heat_qs, 3),

@@ -20,8 +20,9 @@ that accounts for the value of u at the final time -delta.  A
 PotentialHandle is the one way to evaluate these potentials and their
 gradients: value/gradient take a single state of shape (n,), and
 value_batch/gradient_batch a batch of states in rows of shape (b, n).
-heat_potential_fixed and max_potential_fixed evaluate the fixed-time
-solutions, in either shape, for the derivative-constant scans.
+fixed_value_batch evaluates the heat or max fixed-time solution at the
+handle's own kappa, for the derivative-constant scans and the final-time
+check.
 """
 
 from __future__ import annotations
@@ -182,18 +183,27 @@ class PotentialHandle:
             X = np.asarray(X, dtype=float)
             vals = special.logsumexp(self.eta * X, axis=-1) / self.eta
             return vals + (1.0 - self.delta) * self.eta / (2.0 * self.delta)
-        X, _ = _as_batch(X)
         kernel = _heat_value_batch if self.family == "heat" else _max_value_batch
-        return _geometric_value(X, self, kernel)
+        return _geometric_value(_as_batch(X), self, kernel)
 
     def gradient_batch(self, X) -> np.ndarray:
         """Probability weights, the gradient at the rows of X, shape (b, n)."""
         if self.family == "exp_weights":
             X = np.asarray(X, dtype=float)
             return special.softmax(self.eta * X, axis=-1)
-        X, _ = _as_batch(X)
         kernel = _heat_grad_batch if self.family == "heat" else _max_grad_batch
-        return _geometric_gradient(X, self, kernel)
+        return _geometric_gradient(_as_batch(X), self, kernel)
+
+    def fixed_value_batch(self, X, t: float) -> np.ndarray:
+        """Fixed-time solution u(x, t) at the handle's kappa and a time t < 0,
+        at the rows of X, shape (b,); the exp family has none."""
+        if self.family == "exp_weights":
+            raise ValueError("exp_weights has no fixed-time solution")
+        if not t < 0:
+            raise ValueError("t must be negative")
+        kernel = _heat_value_batch if self.family == "heat" else _max_value_batch
+        sigma = np.array([math.sqrt(2.0 * self.kappa * (-t))])
+        return _time_sum(kernel, _as_batch(X), sigma, np.ones(1))
 
 
 def exp_handle(n: int, delta: float) -> PotentialHandle:
@@ -227,17 +237,14 @@ def max_upper_handle(n: int, delta: float) -> PotentialHandle:
 
 
 # ---------------------------------------------------------------------------
-# batched fixed-time evaluators
+# batched fixed-time kernels
 
 
 def _as_batch(x):
     X = np.asarray(x, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError("states must have shape (n,) or (b, n) with n >= 2")
-    return X, single
+        raise ValueError("states must have shape (b, n) with n >= 2")
+    return X
 
 
 def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -344,34 +351,6 @@ def _time_sum(kernel, X, sigmas, w):
         return (kernel(X, sigmas) * w).sum(axis=1)
     return np.concatenate([(kernel(X[lo:lo + step], sigmas) * w).sum(axis=1)
                            for lo in range(0, X.shape[0], step)])
-
-
-# ---------------------------------------------------------------------------
-# fixed-time interface
-
-
-def _check_fixed_args(t: float, kappa: float) -> float:
-    if not t < 0:
-        raise ValueError("t must be negative")
-    if not kappa > 0:
-        raise ValueError("kappa must be positive")
-    return math.sqrt(2.0 * kappa * (-t))
-
-
-def heat_potential_fixed(x, t: float, kappa: float):
-    """Smoothed-max solution of u_t + kappa Laplacian(u) = 0 at time t < 0."""
-    sigma = _check_fixed_args(t, kappa)
-    X, single = _as_batch(x)
-    vals = _time_sum(_heat_value_batch, X, np.array([sigma]), np.ones(1))
-    return float(vals[0]) if single else vals
-
-
-def max_potential_fixed(x, t: float, kappa: float):
-    """Ranked closed-form solution of u_t + kappa max_i u_{x_i x_i} = 0 at t < 0."""
-    sigma = _check_fixed_args(t, kappa)
-    X, single = _as_batch(x)
-    vals = _time_sum(_max_value_batch, X, np.array([sigma]), np.ones(1))
-    return float(vals[0]) if single else vals
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,8 @@ from .potentials import (
     fd_hessian_batch,
     fd_step,
     heat_lower_handle,
-    heat_potential_fixed,
     heat_upper_handle,
     max_lower_handle,
-    max_potential_fixed,
     max_upper_handle,
 )
 from .strategies import AdversaryStrategy, make_adversary
@@ -80,8 +78,10 @@ def sample_states(n: int, delta: float, count: int,
 
     The structured rows cover the origin, all-ones shifts, exact ties,
     near-ties, and a dominant coordinate, where the potentials are least
-    smooth.
+    smooth.  Raises ValueError for a count below one.
     """
+    if count < 1:
+        raise ValueError(f"samples must be at least 1, got {count}")
     radius = 20.0 / math.sqrt(delta)
     structured = [
         np.zeros(n),
@@ -186,20 +186,14 @@ def check_final_time(handle: PotentialHandle, xs: np.ndarray,
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     m, n = xs.shape
-    d, kappa = handle.delta, handle.kappa
-    top = xs.max(axis=1)
+    diff = handle.fixed_value_batch(xs, -handle.delta) - xs.max(axis=1)
     if handle.family == "heat":
-        vals = heat_potential_fixed(xs, -d, kappa)
-        margins = np.abs(vals - top) - handle.shift_constant
-    elif handle.family == "max":
-        vals = max_potential_fixed(xs, -d, kappa)
-        diff = vals - top
-        margins = np.maximum(-diff, diff - handle.shift_constant)
+        margins = np.abs(diff) - handle.shift_constant
     else:
-        raise ValueError("final-time check applies to heat and max families")
+        margins = np.maximum(-diff, diff - handle.shift_constant)
     violations = int(np.sum(margins > tol))
-    return CheckReport("final_time", handle.family, handle.side, n, d, m,
-                       violations, float(margins.max()), tol,
+    return CheckReport("final_time", handle.family, handle.side, n,
+                       handle.delta, m, violations, float(margins.max()), tol,
                        _worst(margins, xs))
 
 

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from geostop import bounds
 from geostop.bounds import (
     ErrorConstants,
     REPORT_FIELDS,
@@ -15,8 +16,9 @@ from geostop.bounds import (
     max_bounds,
     ratio_to_sqrt_2logN,
 )
-from geostop.potentials import (heat_lower_handle, heat_upper_handle,
-                                max_lower_handle, max_upper_handle)
+from geostop.potentials import (PotentialHandle, heat_lower_handle,
+                                heat_upper_handle, max_lower_handle,
+                                max_upper_handle)
 from geostop.specfun import gaussian_max_expectation, laplace_inv1_bound
 
 
@@ -104,25 +106,56 @@ def test_estimate_error_constants_deterministic():
         assert 0.0 < value < 10.0
 
 
-# estimate_error_constants(n, 0.01, seed=1) as (k3_heat_lower,
+# estimate_error_constants(n, delta, seed) as (k3_heat_lower,
 # k4_heat_lower, k3_heat_upper, k3_max_lower, k3_max_upper), compared
 # exactly: the fourth difference amplifies rounding, so any change to the
-# stencils, steps or grid shows as changed bits
+# stencils, steps or grid shows as changed bits.  (4, 0.05, 0) is the
+# oracle's n and delta at the command line's default seed.
 _PINNED_CONSTANTS = {
-    2: (0.004879041113463547, 0.0008668724613769634, 0.004879041113463547,
-        0.004879041115101769, 0.004879041115101769),
-    3: (0.008842109713476402, 0.003120740860957068, 0.0058221702590098515,
-        0.013017781024919123, 0.013017781024919123),
-    4: (0.010712251126340588, 0.004507736799160209, 0.0071261981609317855,
-        0.02111700100104839, 0.016462441934623893),
+    (2, 0.01, 1): (0.004879041113463547, 0.0008668724613769634,
+                   0.004879041113463547, 0.004879041115101769,
+                   0.004879041115101769),
+    (3, 0.01, 1): (0.008842109713476402, 0.003120740860957068,
+                   0.0058221702590098515, 0.013017781024919123,
+                   0.013017781024919123),
+    (4, 0.01, 1): (0.010712251126340588, 0.004507736799160209,
+                   0.0071261981609317855, 0.02111700100104839,
+                   0.016462441934623893),
+    (4, 0.05, 0): (0.052103125421586224, 0.03276777904004922,
+                   0.03647974817406113, 0.07827604220577906,
+                   0.07204025602895114),
 }
 
 
 def test_pinned_error_constants():
-    for n, want in _PINNED_CONSTANTS.items():
-        got = estimate_error_constants(n, 0.01, seed=1)
+    for (n, delta, seed), want in _PINNED_CONSTANTS.items():
+        got = estimate_error_constants(n, delta, seed=seed)
         assert (got.k3_heat_lower, got.k4_heat_lower, got.k3_heat_upper,
-                got.k3_max_lower, got.k3_max_upper) == want, n
+                got.k3_max_lower, got.k3_max_upper) == want, (n, delta, seed)
+
+
+def test_error_constants_evaluate_once_per_scan_and_grid_time(monkeypatch):
+    # five scans over seven grid times, every stencil of a scan in one call
+    calls = []
+    evaluate = PotentialHandle.fixed_value_batch
+
+    def counted(handle, X, t):
+        calls.append(len(X))
+        return evaluate(handle, X, t)
+
+    monkeypatch.setattr(PotentialHandle, "fixed_value_batch", counted)
+    for n in range(2, 7):
+        calls.clear()
+        estimate_error_constants(n, 0.1)
+        assert len(calls) == 35, n
+
+
+def test_scan_blocks_leave_every_bit_alone(monkeypatch):
+    # a tiny budget splits every scan into blocks of three or four stencils
+    monkeypatch.setattr(bounds, "_SCAN_POINTS", 50)
+    got = estimate_error_constants(3, 0.01, seed=1)
+    assert (got.k3_heat_lower, got.k4_heat_lower, got.k3_heat_upper,
+            got.k3_max_lower, got.k3_max_upper) == _PINNED_CONSTANTS[(3, 0.01, 1)]
 
 
 def test_error_constants_refuse_past_the_heat_support_at_once():

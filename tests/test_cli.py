@@ -43,10 +43,14 @@ def test_parser_lists_all_commands():
     ["nonsense"],
     ["figure", "--n", "2", "--n-range", "2:4"],
     ["bounds", "--n", "2", "--delta", "0.1", "--json", "maybe"],
+    ["verify", "--n", "3", "--delta", "0.1", "--samples", "-5"],
+    ["verify", "--n", "3", "--delta", "0.1", "--samples", "0"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
+    # exit the way the console entry point does: argparse raises
+    # SystemExit, a refused value makes main return 2
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        raise SystemExit(main(argv))
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -20,20 +20,25 @@ from geostop.potentials import (
     fd_gradient_batch,
     fd_hessian_batch,
     heat_lower_handle,
-    heat_potential_fixed,
     heat_shift_constant,
     heat_upper_handle,
     kappa_m,
     kappa_s,
     max_lower_handle,
-    max_potential_fixed,
     max_shift_constant,
     max_upper_handle,
 )
-from geostop.specfun import composite_gauss_legendre
+from geostop.specfun import composite_gauss_legendre, exp_time_nodes
 from geostop.strategies import make_player
 
 RATIO = lambda d: (1.0 - d) / d
+
+
+def _fixed(family, x, t, kappa):
+    """Fixed-time solution at one state, through a handle with that kappa."""
+    x = np.asarray(x, dtype=float)
+    h = PotentialHandle(family, x.size, 0.5, "lower", kappa=kappa)
+    return float(h.fixed_value_batch(x[None, :], t)[0])
 
 
 def _fixed_gradient(kernel, x, t, kappa):
@@ -104,25 +109,25 @@ def test_heat_fixed_two_experts():
                              (0.0, 0.0, -2.0, 0.5)]:
         sigma = math.sqrt(2.0 * kappa * abs(t))
         want = _heat_two_expert_oracle(x1, x2, sigma)
-        got = heat_potential_fixed(np.array([x1, x2]), t, kappa)
+        got = _fixed("heat", np.array([x1, x2]), t, kappa)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_heat_fixed_three_experts_vs_quadrature():
     x = np.array([1.5, 0.0, -0.7])
-    got = heat_potential_fixed(x, -2.0, 1.3)
+    got = _fixed("heat", x, -2.0, 1.3)
     want = _heat_quad_oracle(x, math.sqrt(2.0 * 1.3 * 2.0))
     np.testing.assert_allclose(got, want, atol=1e-8)
 
 
 def test_heat_fixed_origin_two_experts():
     # E max(Y1, Y2) = 1/sqrt(pi) scaled by sigma
-    got = heat_potential_fixed(np.zeros(2), -1.0, 1.0)
+    got = _fixed("heat", np.zeros(2), -1.0, 1.0)
     np.testing.assert_allclose(got, math.sqrt(2.0 / math.pi), atol=1e-12)
 
 
 def test_heat_fixed_dominant_coordinate():
-    got = heat_potential_fixed(np.array([10.0, 0.0]), -0.005, 1.0)
+    got = _fixed("heat", np.array([10.0, 0.0]), -0.005, 1.0)
     np.testing.assert_allclose(got, 10.0, atol=1e-8)
 
 
@@ -130,7 +135,7 @@ def test_heat_fixed_dominates_max():
     rng = np.random.default_rng(5)
     for _ in range(25):
         x = rng.normal(size=4) * 3.0
-        val = heat_potential_fixed(x, -1.0, 2.0)
+        val = _fixed("heat", x, -1.0, 2.0)
         assert val >= x.max() - 1e-12
 
 
@@ -160,20 +165,20 @@ def test_heat_gradient_fixed_vs_quadrature():
 def test_max_fixed_origin_closed_form():
     for n in (2, 3, 6):
         want = 2.0 * (n - 1) / n * math.sqrt(1.0 / math.pi)
-        got = max_potential_fixed(np.zeros(n), -1.0, 1.0)
+        got = _fixed("max", np.zeros(n), -1.0, 1.0)
         np.testing.assert_allclose(got, want, atol=1e-12)
-    np.testing.assert_allclose(max_potential_fixed(np.zeros(2), -math.pi, 1.0),
+    np.testing.assert_allclose(_fixed("max", np.zeros(2), -math.pi, 1.0),
                                1.0, atol=1e-14)
 
 
 def test_max_fixed_translation_and_permutation():
     rng = np.random.default_rng(9)
     x = rng.normal(size=4) * 2.0
-    base = max_potential_fixed(x, -1.0, 3.0)
-    np.testing.assert_allclose(max_potential_fixed(x + 2.5, -1.0, 3.0),
+    base = _fixed("max", x, -1.0, 3.0)
+    np.testing.assert_allclose(_fixed("max", x + 2.5, -1.0, 3.0),
                                base + 2.5, atol=1e-12)
     perm = rng.permutation(4)
-    np.testing.assert_allclose(max_potential_fixed(x[perm], -1.0, 3.0),
+    np.testing.assert_allclose(_fixed("max", x[perm], -1.0, 3.0),
                                base, atol=1e-12)
 
 
@@ -182,15 +187,15 @@ def test_max_fixed_solves_its_equation():
     x = np.array([2.0, 0.5, -1.0])
     kappa, t = 1.7, -2.0
     h = 1e-4
-    u_t = (max_potential_fixed(x, t + h, kappa)
-           - max_potential_fixed(x, t - h, kappa)) / (2.0 * h)
+    u_t = (_fixed("max", x, t + h, kappa)
+           - _fixed("max", x, t - h, kappa)) / (2.0 * h)
     diag = []
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        diag.append((max_potential_fixed(x + e, t, kappa)
-                     - 2.0 * max_potential_fixed(x, t, kappa)
-                     + max_potential_fixed(x - e, t, kappa)) / h ** 2)
+        diag.append((_fixed("max", x + e, t, kappa)
+                     - 2.0 * _fixed("max", x, t, kappa)
+                     + _fixed("max", x - e, t, kappa)) / h ** 2)
     residual = u_t + kappa * max(diag)
     assert abs(residual) < 1e-5
 
@@ -207,17 +212,36 @@ def test_max_gradient_sums_to_one_exactly():
 def test_max_gradient_matches_finite_differences():
     xs = np.array([[2.0, 0.5, -1.0], [4.0, 1.0, 0.0], [-1.0, -2.0, -4.0]])
     got = np.array([_fixed_gradient(_max_grad_batch, x, -1.0, 2.0) for x in xs])
-    want = fd_gradient_batch(
-        lambda X: np.array([max_potential_fixed(x, -1.0, 2.0) for x in X]), xs)
+    h = PotentialHandle("max", 3, 0.5, "lower", kappa=2.0)
+    want = fd_gradient_batch(lambda X: h.fixed_value_batch(X, -1.0), xs)
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
-@pytest.mark.parametrize("func", [heat_potential_fixed, max_potential_fixed])
-def test_fixed_time_domain_errors(func):
+@pytest.mark.parametrize("family", ["heat", "max"])
+def test_fixed_time_domain_errors(family):
     with pytest.raises(ValueError):
-        func(np.zeros(2), 0.0, 1.0)
+        _fixed(family, np.zeros(2), 0.0, 1.0)
     with pytest.raises(ValueError):
-        func(np.zeros(2), -1.0, -2.0)
+        _fixed(family, np.zeros(2), -1.0, -2.0)
+
+
+def test_geometric_value_mixes_the_fixed_time_solutions():
+    # value_batch is the exp_time_nodes mixture of fixed_value_batch, less
+    # (lower side) or plus (upper side) the shift constant
+    d = 0.1
+    t, w = exp_time_nodes(d)
+    for n in (2, 3, 4):
+        k = np.arange(n, dtype=float)
+        X = np.array([np.zeros(n), 3.0 * k - n, 1e-3 * k, np.where(k < 1, 8.0, -1.0)])
+        for factory in (heat_lower_handle, heat_upper_handle,
+                        max_lower_handle, max_upper_handle):
+            h = factory(n, d)
+            mix = sum(wi * h.fixed_value_batch(X, ti) for ti, wi in zip(t, w))
+            shift = -h.shift_constant if h.side == "lower" else h.shift_constant
+            np.testing.assert_allclose(h.value_batch(X), mix + shift,
+                                       rtol=1e-12, err_msg=f"{h}")
+    with pytest.raises(ValueError, match="no fixed-time solution"):
+        exp_handle(3, d).fixed_value_batch(np.zeros((1, 3)), -1.0)
 
 
 # ---------------------------------------------------------------------------

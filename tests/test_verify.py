@@ -45,6 +45,14 @@ def test_sample_states_small_count_keeps_structured_rows():
     np.testing.assert_array_equal(xs[0], np.zeros(4))
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_a_count_below_one_is_refused(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        sample_states(3, 0.1, count, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 1"):
+        run_suite("final-time", n=3, delta=0.1, samples=count)
+
+
 def test_lower_condition_is_nearly_an_equality_for_heat():
     # The diffusion factor is chosen so the matching adversary attains the
     # curvature budget; the margin should sit at finite-difference noise,
