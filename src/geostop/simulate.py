@@ -5,12 +5,24 @@ index), so results do not depend on execution order or batching and a
 config always reproduces bit for bit.  Within a trial the draws are
 consumed in a fixed order: one uniform for the horizon, then per round one
 uniform for the adversary outcome followed by one for the followed expert.
+
+Trials walk a state graph that one ``run`` shares across its chunks and
+threads: its nodes are the reduced states x - x_n met so far, and its edges
+the moves (outcome, followed expert) taken from them, each computed once.
+A round is then two draws, one ``searchsorted`` and gathers.  This relies
+on two facts about the adversary laws, which the lattice oracle relies on
+too: a law depends only on the reduced state, and it has K outcomes with
+probabilities shared by every state (the ``outcomes_batch`` contract).
+``play_episode`` asks the adversary for the law of the full state every
+round and is the independent reference the batched runner must match bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +37,8 @@ _TRIALS_PER_CHUNK = 2048
 
 def thread_count(requested: int | None = None) -> int:
     """Worker count: the request (or 1) capped by the GEOSTOP_THREADS variable."""
+    if requested is not None and requested < 1:
+        raise ValueError(f"threads must be at least 1, got {requested}")
     env = os.environ.get("GEOSTOP_THREADS")
     cap = int(env) if env else None
     count = requested if requested is not None else (cap or 1)
@@ -105,28 +119,8 @@ def horizon_from_uniform(u: float, delta: float) -> int:
 
 def _reduce(X: np.ndarray) -> np.ndarray:
     # Weights only depend on coordinate differences of the integer state,
-    # exactly, so pinning the last coordinate to zero is a safe memo key.
+    # exactly, so both paths hand the player states with x_n pinned to zero.
     return X - X[:, -1:]
-
-
-class _WeightMemo:
-    """Cache of player weights per reduced integer state."""
-
-    def __init__(self, player: PlayerStrategy):
-        self.player = player
-        self.table: dict[tuple, np.ndarray] = {}
-
-    def lookup(self, states: np.ndarray) -> np.ndarray:
-        reduced = _reduce(states)
-        uniq, inverse = np.unique(reduced, axis=0, return_inverse=True)
-        keys = [tuple(row) for row in uniq.tolist()]
-        missing = [i for i, k in enumerate(keys) if k not in self.table]
-        if missing:
-            fresh = self.player.weights_batch(uniq[missing].astype(float))
-            for row, i in enumerate(missing):
-                self.table[keys[i]] = fresh[row]
-        w = np.stack([self.table[k] for k in keys])
-        return w[inverse]
 
 
 def _select(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -150,8 +144,119 @@ def play_episode(cfg: SimulationConfig, rng: np.random.Generator) -> float:
     return float(np.max(x))
 
 
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
+class _StateGraph:
+    """The reduced states x - x_n met so far, with their weights and moves.
+
+    A node is a reduced int64 state, found through a dict keyed by the
+    row's bytes.  Its cumulative player weights are filled the first time
+    it starts a round, in one kernel call per round.  An edge (node,
+    outcome k, expert i) is found by its code (node*K + k)*n + i in a
+    sorted array and holds its destination node, the change in x_n and the
+    outcome row.  The adversary's K outcome probabilities are shared by all
+    states, so they are read once.  Arrays only grow, by replacement; every
+    mutation holds the lock and the kernels run outside it, so the arrays
+    a reader holds always contain the rows it has seen filled.
+    """
+
+    def __init__(self, player: PlayerStrategy, adversary: AdversaryStrategy):
+        self.player, self.adversary = player, adversary
+        self.n = n = adversary.n
+        _, probs = adversary.outcomes_batch(np.zeros((1, n)))
+        self.cum_probs = np.cumsum(probs)[None, :]
+        self.outcome_count = len(probs)
+        self._lock = threading.Lock()
+        self._index = {bytes(n * 8): 0}
+        self.states = np.zeros((64, n), dtype=np.int64)
+        self.cum_weights = np.zeros((64, n))
+        self.weighted = np.zeros(64, dtype=bool)
+        # (sorted codes, edge of each code); a sentinel code past every real
+        # one keeps searchsorted in range.  Edges are numbered as found.
+        self.codes = (np.array([np.iinfo(np.int64).max]), np.zeros(1, np.int64))
+        self.dest = np.zeros(64, dtype=np.int64)
+        self.shift = np.zeros(64, dtype=np.int64)
+        self.outcome = np.zeros((64, n), dtype=np.int64)
+
+    def weights(self, nodes: np.ndarray) -> np.ndarray:
+        """Cumulative weights of the given nodes, filling the missing ones."""
+        need = nodes[~self.weighted[nodes]]
+        if need.size:
+            # one kernel call per round, rows in lexicographic order
+            fresh = np.array(list(set(need.tolist())))
+            fresh = fresh[np.lexsort(self.states[fresh].T[::-1])]
+            w = self.player.weights_batch(self.states[fresh].astype(float))
+            cum = np.cumsum(w, axis=1)
+            with self._lock:
+                self.cum_weights[fresh] = cum
+                self.weighted[fresh] = True
+        return self.cum_weights[nodes]
+
+    def step(self, nodes: np.ndarray, k: np.ndarray, i: np.ndarray,
+             with_outcomes: bool):
+        """Destination, change in x_n and (if asked) outcome row per move."""
+        codes = (nodes * self.outcome_count + k) * self.n + i
+        sorted_codes, edge = self.codes
+        pos = np.searchsorted(sorted_codes, codes)
+        miss = sorted_codes[pos] != codes
+        if miss.any():
+            self._add_edges(np.array(sorted(set(codes[miss].tolist()))))
+            sorted_codes, edge = self.codes
+            pos = np.searchsorted(sorted_codes, codes)
+        e = edge[pos]
+        return (self.dest[e], self.shift[e],
+                self.outcome[e] if with_outcomes else None)
+
+    def _add_edges(self, codes: np.ndarray) -> None:
+        n = self.n
+        i = codes % n
+        k = codes // n % self.outcome_count
+        src = codes // (n * self.outcome_count)
+        sources = np.array(sorted(set(src.tolist())))
+        support, _ = self.adversary.outcomes_batch(
+            self.states[sources].astype(float))
+        q = support[np.searchsorted(sources, src), k].astype(np.int64)
+        x = self.states[src] + q[np.arange(len(codes)), i][:, None] - q
+        shift = x[:, -1].copy()
+        x -= shift[:, None]
+        with self._lock:
+            sorted_codes, edge = self.codes
+            at = np.searchsorted(sorted_codes, codes)
+            new = sorted_codes[at] != codes
+            first = len(sorted_codes) - 1
+            stop = first + int(new.sum())
+            if stop > len(self.dest):
+                size = max(stop, 2 * len(self.dest))
+                self.dest = _grown(self.dest, size)
+                self.shift = _grown(self.shift, size)
+                self.outcome = _grown(self.outcome, size)
+            self.dest[first:stop] = [self._node(row) for row in x[new]]
+            self.shift[first:stop] = shift[new]
+            self.outcome[first:stop] = q[new]
+            self.codes = (np.insert(sorted_codes, at[new], codes[new]),
+                          np.insert(edge, at[new], np.arange(first, stop)))
+
+    def _node(self, state: np.ndarray) -> int:
+        """The node of a reduced state, added if new; call with the lock held."""
+        key = state.tobytes()
+        node = self._index.get(key)
+        if node is None:
+            node = self._index[key] = len(self._index)
+            if node == len(self.states):
+                size = 2 * node
+                self.states = _grown(self.states, size)
+                self.cum_weights = _grown(self.cum_weights, size)
+                self.weighted = _grown(self.weighted, size)
+            self.states[node] = state
+        return node
+
+
 def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
-               memo: _WeightMemo, collect_outcomes: bool):
+               graph: _StateGraph, collect_outcomes: bool):
     count = stop - start
     rounds = np.empty(count, dtype=np.int64)
     truncated = 0
@@ -163,41 +268,44 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
             truncated += 1
         rounds[b] = min(t_raw, cfg.max_rounds_cap)
         draws.append(rng.random(2 * int(rounds[b])))
+    # longest trials first, so that the trials still playing are a prefix
+    order = np.argsort(-rounds, kind="stable")
     t_max = int(rounds.max(initial=0))
-    u = np.zeros((count, 2 * t_max))
-    for b, d in enumerate(draws):
-        u[b, :len(d)] = d
+    playing = np.searchsorted(-rounds[order], -np.arange(t_max), side="left")
+    u = np.zeros((2 * t_max, count))
+    for col, b in enumerate(order):
+        u[:len(draws[b]), col] = draws[b]
 
-    x = np.zeros((count, cfg.n), dtype=np.int64)
+    nodes = np.zeros(count, dtype=np.int64)
+    shift = np.zeros(count, dtype=np.int64)
     q_sum = np.zeros(cfg.n)
     q_sq_sum = np.zeros(cfg.n)
     n_outcomes = 0
-    for r in range(t_max):
-        active = np.nonzero(rounds > r)[0]
-        states = x[active]
-        support, probs = cfg.adversary.outcomes_batch(states.astype(float))
-        k = _select(np.cumsum(probs)[None, :], u[active, 2 * r])
-        q = support[np.arange(len(active)), k].astype(np.int64)
-        w = memo.lookup(states)
-        i = _select(np.cumsum(w, axis=1), u[active, 2 * r + 1])
-        x[active] += q[np.arange(len(active)), i][:, None] - q
+    for r, m in enumerate(playing.tolist()):
+        at = nodes[:m]
+        k = _select(graph.cum_probs, u[2 * r, :m])
+        i = _select(graph.weights(at), u[2 * r + 1, :m])
+        nodes[:m], moved, q = graph.step(at, k, i, collect_outcomes)
+        shift[:m] += moved
         if collect_outcomes:
             q_sum += q.sum(axis=0)
             q_sq_sum += (q.astype(float) ** 2).sum(axis=0)
-            n_outcomes += len(active)
-    regrets = x.max(axis=1).astype(float)
+            n_outcomes += m
+    regrets = np.empty(count)
+    regrets[order] = graph.states[nodes].max(axis=1) + shift
     return regrets, rounds, truncated, (q_sum, q_sq_sum, n_outcomes)
 
 
 def run(cfg: SimulationConfig, threads: int | None = None,
         collect_outcomes: bool = False) -> SimulationResult:
     """Run all trials; identical output for identical configs, any thread count."""
-    memo = _WeightMemo(cfg.player)
+    workers = thread_count(threads)
+    graph = _StateGraph(cfg.player, cfg.adversary)
     spans = [(s, min(s + _TRIALS_PER_CHUNK, cfg.trials))
              for s in range(0, cfg.trials, _TRIALS_PER_CHUNK)]
-    with ThreadPoolExecutor(max_workers=thread_count(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         outs = list(pool.map(
-            lambda s: _run_chunk(cfg, s[0], s[1], memo, collect_outcomes),
+            lambda s: _run_chunk(cfg, s[0], s[1], graph, collect_outcomes),
             spans))
 
     regrets = np.concatenate([out[0] for out in outs])

@@ -78,8 +78,10 @@ def sample_states(n: int, delta: float, count: int,
 
     The structured rows cover the origin, all-ones shifts, exact ties,
     near-ties, and a dominant coordinate, where the potentials are least
-    smooth.  Raises ValueError for a count below one.
+    smooth.  Raises ValueError for n below two or a count below one.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     if count < 1:
         raise ValueError(f"samples must be at least 1, got {count}")
     radius = 20.0 / math.sqrt(delta)

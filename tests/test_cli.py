@@ -45,6 +45,10 @@ def test_parser_lists_all_commands():
     ["bounds", "--n", "2", "--delta", "0.1", "--json", "maybe"],
     ["verify", "--n", "3", "--delta", "0.1", "--samples", "-5"],
     ["verify", "--n", "3", "--delta", "0.1", "--samples", "0"],
+    ["verify", "--suite", "lower", "--n", "1", "--delta", "0.1",
+     "--samples", "5"],
+    ["simulate", "--n", "3", "--delta", "0.1", "--threads", "0"],
+    ["simulate", "--n", "3", "--delta", "0.1", "--threads", "-3"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     # exit the way the console entry point does: argparse raises
