@@ -9,7 +9,7 @@ uniform for the adversary outcome followed by one for the followed expert.
 Trials walk a state graph that one ``run`` shares across its chunks and
 threads: its nodes are the reduced states x - x_n met so far, and its edges
 the moves (outcome, followed expert) taken from them, each computed once.
-A round is then two draws, one ``searchsorted`` and gathers.  This relies
+A round is then two draws, one hash-table lookup and gathers.  This relies
 on two facts about the adversary laws, which the lattice oracle relies on
 too: a law depends only on the reduced state, and it has K outcomes with
 probabilities shared by every state (the ``outcomes_batch`` contract).
@@ -150,6 +150,77 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
+_EMPTY = -1
+_FIBONACCI = np.int64(0x9E3779B97F4A7C15 - (1 << 64))
+
+
+class _CodeTable:
+    """A hash table from int64 codes >= 0 to int64 values, used in batches.
+
+    A code starts at its Fibonacci hash slot and probes linearly until it
+    meets itself or an empty slot.  The table is kept at most a quarter
+    full, so probe runs are short and adding codes costs time in their
+    number, not in the table's size.  Lookups take no lock: a key is
+    written after its value, no lookup reads the value of an empty slot,
+    and growth swaps in a new table whole.
+    """
+
+    def __init__(self):
+        self._table = self._empty(64)
+        self.count = 0
+
+    @staticmethod
+    def _empty(size: int):
+        return np.full(size, _EMPTY, dtype=np.int64), np.zeros(size, dtype=np.int64)
+
+    @staticmethod
+    def _home(codes: np.ndarray, size: int) -> np.ndarray:
+        # the top log2(size) bits of the wrapped 64-bit product
+        return (codes * _FIBONACCI >> (65 - size.bit_length())) & (size - 1)
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """The value of each code, or -1 where the code is absent."""
+        keys, values = self._table
+        mask = len(keys) - 1
+        slot = self._home(codes, len(keys))
+        key = keys[slot]
+        todo = np.flatnonzero(key != codes)
+        while todo.size:
+            todo = todo[key[todo] != _EMPTY]  # an empty slot ends the probe
+            slot[todo] = (slot[todo] + 1) & mask
+            key[todo] = keys[slot[todo]]
+            todo = todo[key[todo] != codes[todo]]
+        return np.where(key == codes, values[slot], -1)
+
+    def add(self, codes: np.ndarray, values: np.ndarray) -> None:
+        """Add distinct absent codes; one writer at a time."""
+        keys, vals = self._table
+        self.count += len(codes)
+        if 4 * self.count > len(keys):
+            kept = keys != _EMPTY
+            codes = np.concatenate([keys[kept], codes])
+            values = np.concatenate([vals[kept], values])
+            keys, vals = self._empty(1 << (4 * self.count).bit_length())
+        self._place(keys, vals, codes, values)
+        self._table = keys, vals
+
+    @classmethod
+    def _place(cls, keys, vals, codes, values) -> None:
+        slot = cls._home(codes, len(keys))
+        todo = np.arange(len(codes))
+        while todo.size:
+            at = slot[todo]
+            free = keys[at] == _EMPTY
+            # codes aimed at one free slot claim it in its unread value; the
+            # claim that lands wins and the rest probe on
+            vals[at[free]] = todo[free]
+            won = free & (vals[at] == todo)
+            vals[at[won]] = values[todo[won]]
+            keys[at[won]] = codes[todo[won]]
+            todo = todo[~won]
+            slot[todo] = (slot[todo] + 1) & (len(keys) - 1)
+
+
 class _StateGraph:
     """The reduced states x - x_n met so far, with their weights and moves.
 
@@ -157,14 +228,16 @@ class _StateGraph:
     row's bytes.  Its cumulative player weights are filled the first time
     it starts a round, in one kernel call per round.  An edge (node,
     outcome k, expert i) is found by its code (node*K + k)*n + i in a
-    sorted array and holds its destination node, the change in x_n and the
-    outcome row.  The adversary's K outcome probabilities are shared by all
-    states, so they are read once.  Arrays only grow, by replacement; every
-    mutation holds the lock and the kernels run outside it, so the arrays
-    a reader holds always contain the rows it has seen filled.
+    ``_CodeTable`` and holds its destination node, the change in x_n and,
+    when outcomes are collected, the outcome row.  The adversary's K
+    outcome probabilities are shared by all states, so they are read once.
+    Arrays only grow, by replacement; every mutation holds the lock and the
+    kernels run outside it, so the arrays a reader holds always contain the
+    rows it has seen filled.
     """
 
-    def __init__(self, player: PlayerStrategy, adversary: AdversaryStrategy):
+    def __init__(self, player: PlayerStrategy, adversary: AdversaryStrategy,
+                 collect_outcomes: bool):
         self.player, self.adversary = player, adversary
         self.n = n = adversary.n
         _, probs = adversary.outcomes_batch(np.zeros((1, n)))
@@ -175,12 +248,10 @@ class _StateGraph:
         self.states = np.zeros((64, n), dtype=np.int64)
         self.cum_weights = np.zeros((64, n))
         self.weighted = np.zeros(64, dtype=bool)
-        # (sorted codes, edge of each code); a sentinel code past every real
-        # one keeps searchsorted in range.  Edges are numbered as found.
-        self.codes = (np.array([np.iinfo(np.int64).max]), np.zeros(1, np.int64))
+        self.edges = _CodeTable()  # code -> edge, edges numbered as found
         self.dest = np.zeros(64, dtype=np.int64)
         self.shift = np.zeros(64, dtype=np.int64)
-        self.outcome = np.zeros((64, n), dtype=np.int64)
+        self.outcome = np.zeros((64, n), dtype=np.int64) if collect_outcomes else None
 
     def weights(self, nodes: np.ndarray) -> np.ndarray:
         """Cumulative weights of the given nodes, filling the missing ones."""
@@ -196,49 +267,47 @@ class _StateGraph:
                 self.weighted[fresh] = True
         return self.cum_weights[nodes]
 
-    def step(self, nodes: np.ndarray, k: np.ndarray, i: np.ndarray,
-             with_outcomes: bool):
-        """Destination, change in x_n and (if asked) outcome row per move."""
+    def step(self, nodes: np.ndarray, k: np.ndarray, i: np.ndarray):
+        """Destination, change in x_n and outcome row (or None) per move."""
         codes = (nodes * self.outcome_count + k) * self.n + i
-        sorted_codes, edge = self.codes
-        pos = np.searchsorted(sorted_codes, codes)
-        miss = sorted_codes[pos] != codes
+        e = self.edges.find(codes)
+        miss = e < 0
         if miss.any():
-            self._add_edges(np.array(sorted(set(codes[miss].tolist()))))
-            sorted_codes, edge = self.codes
-            pos = np.searchsorted(sorted_codes, codes)
-        e = edge[pos]
+            fresh, at = np.unique(codes[miss], return_inverse=True)
+            e[miss] = self._add_edges(fresh)[at]
         return (self.dest[e], self.shift[e],
-                self.outcome[e] if with_outcomes else None)
+                None if self.outcome is None else self.outcome[e])
 
-    def _add_edges(self, codes: np.ndarray) -> None:
+    def _add_edges(self, codes: np.ndarray) -> np.ndarray:
+        """The edge of each of the distinct codes, adding the missing ones."""
         n = self.n
         i = codes % n
         k = codes // n % self.outcome_count
         src = codes // (n * self.outcome_count)
-        sources = np.array(sorted(set(src.tolist())))
-        support, _ = self.adversary.outcomes_batch(
-            self.states[sources].astype(float))
-        q = support[np.searchsorted(sources, src), k].astype(np.int64)
-        x = self.states[src] + q[np.arange(len(codes)), i][:, None] - q
+        rows = np.arange(len(codes))
+        support, _ = self.adversary.outcomes_batch(self.states[src].astype(float))
+        q = support[rows, k].astype(np.int64)
+        x = self.states[src] + q[rows, i][:, None] - q
         shift = x[:, -1].copy()
         x -= shift[:, None]
         with self._lock:
-            sorted_codes, edge = self.codes
-            at = np.searchsorted(sorted_codes, codes)
-            new = sorted_codes[at] != codes
-            first = len(sorted_codes) - 1
+            e = self.edges.find(codes)
+            new = e < 0
+            first = self.edges.count
             stop = first + int(new.sum())
+            e[new] = np.arange(first, stop)
             if stop > len(self.dest):
                 size = max(stop, 2 * len(self.dest))
                 self.dest = _grown(self.dest, size)
                 self.shift = _grown(self.shift, size)
-                self.outcome = _grown(self.outcome, size)
+                if self.outcome is not None:
+                    self.outcome = _grown(self.outcome, size)
             self.dest[first:stop] = [self._node(row) for row in x[new]]
             self.shift[first:stop] = shift[new]
-            self.outcome[first:stop] = q[new]
-            self.codes = (np.insert(sorted_codes, at[new], codes[new]),
-                          np.insert(edge, at[new], np.arange(first, stop)))
+            if self.outcome is not None:
+                self.outcome[first:stop] = q[new]
+            self.edges.add(codes[new], e[new])
+        return e
 
     def _node(self, state: np.ndarray) -> int:
         """The node of a reduced state, added if new; call with the lock held."""
@@ -256,7 +325,7 @@ class _StateGraph:
 
 
 def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
-               graph: _StateGraph, collect_outcomes: bool):
+               graph: _StateGraph):
     count = stop - start
     rounds = np.empty(count, dtype=np.int64)
     truncated = 0
@@ -285,9 +354,9 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
         at = nodes[:m]
         k = _select(graph.cum_probs, u[2 * r, :m])
         i = _select(graph.weights(at), u[2 * r + 1, :m])
-        nodes[:m], moved, q = graph.step(at, k, i, collect_outcomes)
+        nodes[:m], moved, q = graph.step(at, k, i)
         shift[:m] += moved
-        if collect_outcomes:
+        if q is not None:
             q_sum += q.sum(axis=0)
             q_sq_sum += (q.astype(float) ** 2).sum(axis=0)
             n_outcomes += m
@@ -300,13 +369,11 @@ def run(cfg: SimulationConfig, threads: int | None = None,
         collect_outcomes: bool = False) -> SimulationResult:
     """Run all trials; identical output for identical configs, any thread count."""
     workers = thread_count(threads)
-    graph = _StateGraph(cfg.player, cfg.adversary)
+    graph = _StateGraph(cfg.player, cfg.adversary, collect_outcomes)
     spans = [(s, min(s + _TRIALS_PER_CHUNK, cfg.trials))
              for s in range(0, cfg.trials, _TRIALS_PER_CHUNK)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        outs = list(pool.map(
-            lambda s: _run_chunk(cfg, s[0], s[1], graph, collect_outcomes),
-            spans))
+        outs = list(pool.map(lambda s: _run_chunk(cfg, *s, graph), spans))
 
     regrets = np.concatenate([out[0] for out in outs])
     rounds = np.concatenate([out[1] for out in outs])

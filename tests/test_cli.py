@@ -59,6 +59,19 @@ def test_usage_errors_exit_2(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "lower", "--n", "1", "--delta", "0.1",
+      "--samples", "5"], "n must be at least 2, got 1"),
+    (["verify", "--n", "3", "--delta", "0.1", "--samples", "0"],
+     "samples must be at least 1, got 0"),
+    (["simulate", "--n", "3", "--delta", "0.1", "--threads", "-3"],
+     "threads must be at least 1, got -3"),
+])
+def test_refused_values_say_why(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_bounds_csv_frozen_constants(capsys):
     assert main(["bounds", "--n", "2", "--delta", "1e-6"]) == 0
     rows = _rows_from_csv(capsys.readouterr().out)
