@@ -9,10 +9,11 @@ uniform for the adversary outcome followed by one for the followed expert.
 Trials walk a state graph that one ``run`` shares across its chunks and
 threads: its nodes are the reduced states x - x_n met so far, and its edges
 the moves (outcome, followed expert) taken from them, each computed once.
-A round is then two draws, one hash-table lookup and gathers.  This relies
-on two facts about the adversary laws, which the lattice oracle relies on
-too: a law depends only on the reduced state, and it has K outcomes with
-probabilities shared by every state (the ``outcomes_batch`` contract).
+A round is then two draws, one dict lookup per trial and gathers.  This
+relies on two facts about the adversary laws, which the lattice oracle
+relies on too: a law depends only on the reduced state, and it has K
+outcomes with probabilities shared by every state (the ``outcomes_batch``
+contract).
 ``play_episode`` asks the adversary for the law of the full state every
 round and is the independent reference the batched runner must match bit
 for bit.
@@ -25,6 +26,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -150,90 +152,20 @@ def _grown(a: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-_EMPTY = -1
-_FIBONACCI = np.int64(0x9E3779B97F4A7C15 - (1 << 64))
-
-
-class _CodeTable:
-    """A hash table from int64 codes >= 0 to int64 values, used in batches.
-
-    A code starts at its Fibonacci hash slot and probes linearly until it
-    meets itself or an empty slot.  The table is kept at most a quarter
-    full, so probe runs are short and adding codes costs time in their
-    number, not in the table's size.  Lookups take no lock: a key is
-    written after its value, no lookup reads the value of an empty slot,
-    and growth swaps in a new table whole.
-    """
-
-    def __init__(self):
-        self._table = self._empty(64)
-        self.count = 0
-
-    @staticmethod
-    def _empty(size: int):
-        return np.full(size, _EMPTY, dtype=np.int64), np.zeros(size, dtype=np.int64)
-
-    @staticmethod
-    def _home(codes: np.ndarray, size: int) -> np.ndarray:
-        # the top log2(size) bits of the wrapped 64-bit product
-        return (codes * _FIBONACCI >> (65 - size.bit_length())) & (size - 1)
-
-    def find(self, codes: np.ndarray) -> np.ndarray:
-        """The value of each code, or -1 where the code is absent."""
-        keys, values = self._table
-        mask = len(keys) - 1
-        slot = self._home(codes, len(keys))
-        key = keys[slot]
-        todo = np.flatnonzero(key != codes)
-        while todo.size:
-            todo = todo[key[todo] != _EMPTY]  # an empty slot ends the probe
-            slot[todo] = (slot[todo] + 1) & mask
-            key[todo] = keys[slot[todo]]
-            todo = todo[key[todo] != codes[todo]]
-        return np.where(key == codes, values[slot], -1)
-
-    def add(self, codes: np.ndarray, values: np.ndarray) -> None:
-        """Add distinct absent codes; one writer at a time."""
-        keys, vals = self._table
-        self.count += len(codes)
-        if 4 * self.count > len(keys):
-            kept = keys != _EMPTY
-            codes = np.concatenate([keys[kept], codes])
-            values = np.concatenate([vals[kept], values])
-            keys, vals = self._empty(1 << (4 * self.count).bit_length())
-        self._place(keys, vals, codes, values)
-        self._table = keys, vals
-
-    @classmethod
-    def _place(cls, keys, vals, codes, values) -> None:
-        slot = cls._home(codes, len(keys))
-        todo = np.arange(len(codes))
-        while todo.size:
-            at = slot[todo]
-            free = keys[at] == _EMPTY
-            # codes aimed at one free slot claim it in its unread value; the
-            # claim that lands wins and the rest probe on
-            vals[at[free]] = todo[free]
-            won = free & (vals[at] == todo)
-            vals[at[won]] = values[todo[won]]
-            keys[at[won]] = codes[todo[won]]
-            todo = todo[~won]
-            slot[todo] = (slot[todo] + 1) & (len(keys) - 1)
-
-
 class _StateGraph:
     """The reduced states x - x_n met so far, with their weights and moves.
 
     A node is a reduced int64 state, found through a dict keyed by the
     row's bytes.  Its cumulative player weights are filled the first time
     it starts a round, in one kernel call per round.  An edge (node,
-    outcome k, expert i) is found by its code (node*K + k)*n + i in a
-    ``_CodeTable`` and holds its destination node, the change in x_n and,
-    when outcomes are collected, the outcome row.  The adversary's K
+    outcome k, expert i) is found through a dict keyed by its int code
+    (node*K + k)*n + i and holds its destination node, the change in x_n
+    and, when outcomes are collected, the outcome row.  The adversary's K
     outcome probabilities are shared by all states, so they are read once.
     Arrays only grow, by replacement; every mutation holds the lock and the
-    kernels run outside it, so the arrays a reader holds always contain the
-    rows it has seen filled.
+    kernels run outside it, and a code enters the edge dict only after its
+    rows are written, so the arrays a reader holds always contain the rows
+    it has seen filled.
     """
 
     def __init__(self, player: PlayerStrategy, adversary: AdversaryStrategy,
@@ -248,7 +180,7 @@ class _StateGraph:
         self.states = np.zeros((64, n), dtype=np.int64)
         self.cum_weights = np.zeros((64, n))
         self.weighted = np.zeros(64, dtype=bool)
-        self.edges = _CodeTable()  # code -> edge, edges numbered as found
+        self._edges = {}  # code -> edge, edges numbered as found
         self.dest = np.zeros(64, dtype=np.int64)
         self.shift = np.zeros(64, dtype=np.int64)
         self.outcome = np.zeros((64, n), dtype=np.int64) if collect_outcomes else None
@@ -258,7 +190,7 @@ class _StateGraph:
         need = nodes[~self.weighted[nodes]]
         if need.size:
             # one kernel call per round, rows in lexicographic order
-            fresh = np.array(list(set(need.tolist())))
+            fresh = np.unique(need)
             fresh = fresh[np.lexsort(self.states[fresh].T[::-1])]
             w = self.player.weights_batch(self.states[fresh].astype(float))
             cum = np.cumsum(w, axis=1)
@@ -270,7 +202,7 @@ class _StateGraph:
     def step(self, nodes: np.ndarray, k: np.ndarray, i: np.ndarray):
         """Destination, change in x_n and outcome row (or None) per move."""
         codes = (nodes * self.outcome_count + k) * self.n + i
-        e = self.edges.find(codes)
+        e = self._edge_of(codes)
         miss = e < 0
         if miss.any():
             fresh, at = np.unique(codes[miss], return_inverse=True)
@@ -291,9 +223,9 @@ class _StateGraph:
         shift = x[:, -1].copy()
         x -= shift[:, None]
         with self._lock:
-            e = self.edges.find(codes)
+            e = self._edge_of(codes)
             new = e < 0
-            first = self.edges.count
+            first = len(self._edges)
             stop = first + int(new.sum())
             e[new] = np.arange(first, stop)
             if stop > len(self.dest):
@@ -306,8 +238,13 @@ class _StateGraph:
             self.shift[first:stop] = shift[new]
             if self.outcome is not None:
                 self.outcome[first:stop] = q[new]
-            self.edges.add(codes[new], e[new])
+            self._edges.update(zip(codes[new].tolist(), e[new].tolist()))
         return e
+
+    def _edge_of(self, codes: np.ndarray) -> np.ndarray:
+        """The edge of each code, or -1 where it has none yet."""
+        return np.fromiter(map(self._edges.get, codes.tolist(), repeat(-1)),
+                           dtype=np.int64, count=len(codes))
 
     def _node(self, state: np.ndarray) -> int:
         """The node of a reduced state, added if new; call with the lock held."""

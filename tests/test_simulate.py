@@ -9,7 +9,6 @@ import pytest
 from geostop.simulate import (
     SimulationConfig,
     SimulationResult,
-    _CodeTable,
     _select,
     horizon_from_uniform,
     play_episode,
@@ -67,20 +66,6 @@ def test_select_matches_cumulative_bins():
                                   [0, 0, 1, 1, 2, 2])
     # cumulative round-off can push u past the last edge; index must clamp
     assert _select(np.array([[0.5, 1.0]]), np.array([1.0]))[0] == 1
-
-
-def test_code_table_finds_what_it_holds():
-    # batches of distinct codes, through several growths of the table
-    rng = np.random.default_rng(5)
-    codes = rng.choice(10**12, size=5000, replace=False)
-    table = _CodeTable()
-    for lo in range(0, 5000, 700):
-        table.add(codes[lo:lo + 700], np.arange(lo, min(lo + 700, 5000)))
-        assert np.array_equal(table.find(codes[:lo + 700]),
-                              np.arange(min(lo + 700, 5000)))
-    absent = np.setdiff1d(rng.integers(0, 10**12, size=2000), codes)
-    assert np.all(table.find(absent) == -1)
-    assert table.count == 5000
 
 
 def test_run_is_reproducible():
