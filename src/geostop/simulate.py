@@ -13,10 +13,9 @@ A round is then two draws, one dict lookup per trial and gathers.  This
 relies on two facts about the adversary laws, which the lattice oracle
 relies on too: a law depends only on the reduced state, and it has K
 outcomes with probabilities shared by every state (the ``outcomes_batch``
-contract).
-``play_episode`` asks the adversary for the law of the full state every
-round and is the independent reference the batched runner must match bit
-for bit.
+contract).  ``play_episode`` asks the adversary for the law of the full
+state every round and is the independent reference the batched runner
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -234,7 +233,7 @@ class _StateGraph:
                 self.shift = _grown(self.shift, size)
                 if self.outcome is not None:
                     self.outcome = _grown(self.outcome, size)
-            self.dest[first:stop] = [self._node(row) for row in x[new]]
+            self.dest[first:stop] = self._nodes(x[new])
             self.shift[first:stop] = shift[new]
             if self.outcome is not None:
                 self.outcome[first:stop] = q[new]
@@ -246,19 +245,20 @@ class _StateGraph:
         return np.fromiter(map(self._edges.get, codes.tolist(), repeat(-1)),
                            dtype=np.int64, count=len(codes))
 
-    def _node(self, state: np.ndarray) -> int:
-        """The node of a reduced state, added if new; call with the lock held."""
-        key = state.tobytes()
-        node = self._index.get(key)
-        if node is None:
-            node = self._index[key] = len(self._index)
-            if node == len(self.states):
-                size = 2 * node
-                self.states = _grown(self.states, size)
-                self.cum_weights = _grown(self.cum_weights, size)
-                self.weighted = _grown(self.weighted, size)
-            self.states[node] = state
-        return node
+    def _nodes(self, states: np.ndarray) -> np.ndarray:
+        """The node of each reduced state, added if new; call with the lock held."""
+        index, known = self._index, len(self._index)
+        keys = states.view(f"V{states.itemsize * self.n}").ravel().tolist()
+        nodes = np.array([index.setdefault(key, len(index)) for key in keys],
+                         dtype=np.int64)
+        if len(index) > len(self.states):
+            size = max(len(index), 2 * len(self.states))
+            self.states = _grown(self.states, size)
+            self.cum_weights = _grown(self.cum_weights, size)
+            self.weighted = _grown(self.weighted, size)
+        fresh = nodes >= known
+        self.states[nodes[fresh]] = states[fresh]
+        return nodes
 
 
 def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
