@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .game import check_stopping_rate
 from .potentials import (PotentialHandle, fd_step, heat_lower_handle,
                          heat_upper_handle, kappa_m, kappa_s, max_lower_handle,
                          max_upper_handle)
@@ -207,9 +208,9 @@ def _fourth_order_error(delta: float, k4: float) -> float:
 
 def exp_weights_bound(n: int, delta: float) -> BoundReport:
     """Exact upper bound sqrt(2 (1-delta) log n / delta); no error term."""
+    delta = check_stopping_rate(delta)
     pot0 = math.sqrt(2.0 * (1.0 - delta) * math.log(n) / delta)
-    return _report("exp_weights", "upper", int(n), float(delta), pot0, 0.0,
-                   "exact")
+    return _report("exp_weights", "upper", int(n), delta, pot0, 0.0, "exact")
 
 
 def heat_bounds(n: int, delta: float,
@@ -271,6 +272,7 @@ def comparison_curves(n: int, delta: float) -> dict[str, float]:
     gravin_lower_asymptote: sqrt(log n / (2 delta)), the exp-weights
     small-delta guarantee; gravin_upper: sqrt(2 log n / delta).
     """
+    delta = check_stopping_rate(delta)
     logn = math.log(n)
     return {
         "gravin_lower_asymptote": math.sqrt(logn / (2.0 * delta)),

@@ -30,6 +30,7 @@ from . import __version__
 from .bounds import (ErrorConstants, REPORT_FIELDS, comparison_curves,
                      estimate_error_constants, exp_weights_bound, heat_bounds,
                      max_bounds)
+from .game import _check_tol
 from .oracle import (adversary_sandwich, check_lattice, player_sandwich,
                      value_iteration_adversary, value_iteration_player)
 from .potentials import heat_lower_handle, max_lower_handle
@@ -323,18 +324,18 @@ def _oracle_error(args, kind: str, side: int):
     if args.errors == "estimated":
         constants = estimate_error_constants(args.n, args.delta,
                                              seed=args.seed)
-        mode = "numerically_estimated"
     else:
         constants = ErrorConstants.zero()
-        mode = "user_supplied"
     reports = _FAMILY_BOUNDS[kind](args.n, args.delta, constants)
-    return reports[side].error_term, mode
+    return reports[side].error_term, constants.mode
 
 
 def cmd_oracle(args) -> int:
     n, delta, radius, tol = args.n, args.delta, args.radius, args.tol
-    # refuse an oversized lattice before estimating any error constant
+    # refuse an oversized lattice or a tolerance that certifies nothing
+    # before estimating any error constant
     check_lattice(n, radius)
+    _check_tol(tol)
 
     if args.adversary is not None:
         kind = args.adversary

@@ -11,6 +11,8 @@ vector.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Weights this far below zero are treated as round-off and clipped; anything
@@ -43,3 +45,9 @@ def check_stopping_rate(delta: float, allow_one: bool = True) -> float:
     if not 0.0 < delta <= (1.0 if allow_one else 1.0 - 1e-15):
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     return delta
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance under which no comparison can certify anything."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be a finite number at least 0, got {tol}")

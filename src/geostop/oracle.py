@@ -25,12 +25,14 @@ The engine does no per-state Python work.  States are indexed by a
 mixed-radix integer key whose order is their lexicographic order, so the
 transition tables come from batched projections of the (state, outcome)
 targets, about a million at a time, and a ``searchsorted`` over the keys.
-The player sweeps keep their tables as (outcomes, states) arrays, so a
-sweep is one gather and a max over axis 0; exits of the optimistic run
-gather from precomputed potential values stored past the end of the value
-vector.
-Lattices whose tables would exceed 10^7 entries (states times the 2^n
-vertex outcomes) are refused before anything is allocated.
+Both roles sweep (outcomes, states) tables in one loop, v <- delta*g +
+(1-delta)*R(v), and differ only in the continuation R: a gather, then an
+expectation over axis 0, which adds up to 7 outcomes in the order of a
+per-state sum (wider heat supports, from n = 5, round differently in the
+last bits), or a max over axis 0, where exits of the optimistic run gather
+from potential values stored past the end of the value vector.  Lattices
+whose tables would exceed 10^7 entries (states times the 2^n vertex
+outcomes) are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .game import check_stopping_rate
+from .game import _check_tol, check_stopping_rate
 from .potentials import PotentialHandle
 from .strategies import AdversaryStrategy, PlayerStrategy
 
@@ -109,10 +111,6 @@ def _lattice_key(d: np.ndarray, radius: int) -> np.ndarray:
     return ((d + radius) // 2) @ place
 
 
-def _ceil_even(v):
-    return 2 * ((v + 1) // 2)
-
-
 def project_state(d: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Nearest in-domain states under the sup norm, and the distances moved.
 
@@ -124,7 +122,7 @@ def project_state(d: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
     hi = np.maximum(d.max(axis=-1), 0)
     lo = np.minimum(d.min(axis=-1), 0)
     excess = np.maximum(hi - lo - radius, 0)
-    m_top = np.minimum(hi, _ceil_even(excess // 2))
+    m_top = np.minimum(hi, 2 * ((excess // 2 + 1) // 2))
     m_bot = excess - m_top
     over = m_bot > -lo
     m_bot = np.where(over, -lo, m_bot)
@@ -183,42 +181,60 @@ class LatticeValueFunction:
         return _span(self.states) <= self.radius // 2
 
 
+def _full_rows(d: np.ndarray) -> np.ndarray:
+    """Float rows of the full states: reduced states with x_n = 0 appended."""
+    return np.hstack([d, np.zeros_like(d[:, :1])]).astype(float)
+
+
 def _transition_tables(states: np.ndarray, shifts: np.ndarray, radius: int):
-    """Index and projection-distance tables for d -> d + shift, shape (S, K).
+    """Index and projection-distance tables for d -> d + shift, shape (K, S).
 
     ``shifts`` is (K, n-1), shared by every state, or (S, K, n-1).  Targets
     are projected in blocks of about _TABLE_BLOCK entries, which bounds the
     temporaries of the largest lattices to a few hundred MB.
     """
     shifts = np.broadcast_to(shifts, states.shape[:1] + shifts.shape[-2:])
+    shifts = shifts.swapaxes(0, 1)  # (K, S, n-1) view, outcome-major
     keys = _lattice_key(states, radius)
     nxt = np.empty(shifts.shape[:2], dtype=np.int64)
     dist = np.empty(shifts.shape[:2])
-    step = max(1, _TABLE_BLOCK // shifts.shape[1])
+    step = max(1, _TABLE_BLOCK // shifts.shape[0])
     for start in range(0, states.shape[0], step):
         rows = slice(start, start + step)
-        proj, moved = project_state(states[rows, None, :] + shifts[rows], radius)
-        nxt[rows] = np.searchsorted(keys, _lattice_key(proj, radius))
-        dist[rows] = moved
+        proj, moved = project_state(states[rows] + shifts[:, rows], radius)
+        nxt[:, rows] = np.searchsorted(keys, _lattice_key(proj, radius))
+        dist[:, rows] = moved
     return nxt, dist
 
 
-def _iterate(g, delta, tol, update_lo, update_hi):
-    """Run the bracketed fixed-point iteration to the requested accuracy."""
-    v_lo = g.astype(float).copy()
-    v_hi = g.astype(float).copy()
+def _setup(n: int, delta: float, radius: int, tol: float):
+    """Checked states of one run, and their float rows with x_n = 0."""
+    check_stopping_rate(delta)
+    _check_tol(tol)
+    states = build_states(n, radius)
+    return states, _full_rows(states)
+
+
+def _solve(states, delta, radius, tol, lower, upper) -> LatticeValueFunction:
+    """Sweep both runs of v <- delta*g + (1-delta)*R(v) to accuracy tol.
+
+    ``lower`` and ``upper`` give R(v), the continuation of the pessimistic
+    and the optimistic run; g is the score max(d, 0) of each state.
+    """
+    g = np.maximum(states.max(axis=1), 0).astype(float)
+    stop = delta * g
     factor = (1.0 - delta) / delta if delta < 1.0 else 0.0
-    sweeps = 0
-    while True:
-        sweeps += 1
-        new_lo = update_lo(v_lo)
-        new_hi = update_hi(v_hi)
+    v_lo, v_hi = g.copy(), g.copy()
+    for sweeps in range(1, _MAX_SWEEPS + 1):
+        new_lo = stop + (1.0 - delta) * lower(v_lo)
+        new_hi = stop + (1.0 - delta) * upper(v_hi)
         diff = max(np.max(np.abs(new_lo - v_lo)), np.max(np.abs(new_hi - v_hi)))
         v_lo, v_hi = new_lo, new_hi
         if factor * diff <= tol or diff == 0.0:
-            return v_lo, v_hi, diff, factor * diff, sweeps
-        if sweeps >= _MAX_SWEEPS:
-            raise RuntimeError("value iteration failed to converge")
+            return LatticeValueFunction(states.shape[1] + 1, delta, radius,
+                                        states, v_lo, v_hi, diff,
+                                        factor * diff, sweeps)
+    raise RuntimeError("value iteration failed to converge")
 
 
 def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
@@ -232,12 +248,8 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
     """
     if adversary.n != n:
         raise ValueError(f"adversary built for n={adversary.n}, not n={n}")
-    check_stopping_rate(delta)
-    states = build_states(n, radius)
-    g = np.maximum(states.max(axis=1), 0).astype(float)
-
-    x_full = np.hstack([states, np.zeros((states.shape[0], 1), dtype=np.int64)])
-    support, probs = adversary.outcomes_batch(x_full.astype(float))
+    states, rows = _setup(n, delta, radius, tol)
+    support, probs = adversary.outcomes_batch(rows)
     # shift_j = q_n - q_j for j < n, per state and outcome
     shifts = (support[:, :, -1:] - support[:, :, :-1]).astype(np.int64)
     means = (probs[None, :, None] * support).sum(axis=1)
@@ -245,14 +257,11 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
     lin = np.minimum(lin, 0.0)  # the pinned expert itself is also available
     nxt, dist = _transition_tables(states, shifts, radius)
 
-    def update(v, sign):
-        ev = (probs[None, :] * (v[nxt] + sign * dist)).sum(axis=1)
-        return delta * g + (1.0 - delta) * (lin + ev)
+    def expectation(charge):
+        return lambda v: lin + (probs[:, None] * (v[nxt] + charge)).sum(axis=0)
 
-    v_lo, v_hi, residual, gap, sweeps = _iterate(
-        g, delta, tol, lambda v: update(v, -1.0), lambda v: update(v, +1.0))
-    return LatticeValueFunction(n, delta, radius, states, v_lo, v_hi,
-                                residual, gap, sweeps)
+    return _solve(states, delta, radius, tol,
+                  expectation(-dist), expectation(dist))
 
 
 def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
@@ -277,50 +286,36 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     if player.handle is None:
         raise ValueError(f"player {player.kind!r} has no potential to read "
                          "the optimistic run's exit values from")
-    check_stopping_rate(delta)
-    states = build_states(n, radius)
-    g = np.maximum(states.max(axis=1), 0).astype(float)
-
+    states, rows = _setup(n, delta, radius, tol)
     outcomes = np.array(list(itertools.product((-1, 1), repeat=n)),
                         dtype=np.int64)
     shifts = outcomes[:, -1:] - outcomes[:, :-1]
-    x_full = np.hstack([states, np.zeros((states.shape[0], 1), dtype=np.int64)])
-    weights = player.weights_batch(x_full.astype(float))
-    # immediate term E[q_I] - q_n for each state/outcome
-    lin = (weights[:, None, :] * outcomes[None, :, :]).sum(axis=2) \
-        - outcomes[None, :, -1]
+    weights = player.weights_batch(rows)
+    # immediate term E[q_I] - q_n for each outcome/state
+    lin = (weights * outcomes[:, None, :]).sum(axis=2) - outcomes[:, -1:]
     nxt, dist = _transition_tables(states, shifts, radius)
-    # sweeps gather and reduce over outcomes along axis 0 of (K, S) tables
-    lin, nxt, dist = (np.ascontiguousarray(a.T) for a in (lin, nxt, dist))
 
     # exits in state-major order: the batch order the potential sees can
     # move the last bits of its values
     si, ki = np.nonzero(dist.T > 0)
-    targets = states[si] + shifts[ki]
-    full = np.hstack([targets, np.zeros((targets.shape[0], 1), dtype=np.int64)])
-    exit_vals = player.handle.value_batch(full.astype(float)) + error_term
+    exit_vals = player.handle.value_batch(
+        _full_rows(states[si] + shifts[ki])) + error_term
     # exiting entries read past the end of v, from the exit values
     gather = nxt.copy()
     gather[ki, si] = states.shape[0] + np.arange(si.size)
 
-    def best(cand):
-        return delta * g + (1.0 - delta) * cand.max(axis=0)
-
-    def update_lo(v):
+    def lower(v):
         cand = v[nxt]
         cand += lin
         cand -= dist
-        return best(cand)
+        return cand.max(axis=0)
 
-    def update_hi(v):
+    def upper(v):
         cand = np.concatenate([v, exit_vals])[gather]
         cand += lin
-        return best(cand)
+        return cand.max(axis=0)
 
-    v_lo, v_hi, residual, gap, sweeps = _iterate(g, delta, tol,
-                                                 update_lo, update_hi)
-    return LatticeValueFunction(n, delta, radius, states, v_lo, v_hi,
-                                residual, gap, sweeps)
+    return _solve(states, delta, radius, tol, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -348,12 +343,23 @@ class SandwichReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _report(kind, lvf, mask, margins, width, tol, handle=None,
+            error_term=0.0, error_mode="user_supplied") -> SandwichReport:
+    """Count the interior margins above tol into a SandwichReport."""
+    _check_tol(tol)
+    family, side = (handle.family, handle.side) if handle else ("none", "none")
+    return SandwichReport(kind, family, side, lvf.n, lvf.delta,
+                          int(mask.sum()), int(np.sum(margins > tol)),
+                          float(margins.max()), error_term, error_mode,
+                          float(width), tol)
+
+
 def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle):
+    if (handle.n, handle.delta) != (lvf.n, lvf.delta):
+        raise ValueError(f"potential built for n={handle.n}, delta="
+                         f"{handle.delta}, not n={lvf.n}, delta={lvf.delta}")
     mask = lvf.interior_mask()
-    states = lvf.states[mask]
-    x_full = np.hstack([states, np.zeros((states.shape[0], 1))]).astype(float)
-    pot = handle.value_batch(x_full)
-    return mask, pot
+    return mask, handle.value_batch(_full_rows(lvf.states[mask]))
 
 
 def adversary_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
@@ -361,12 +367,9 @@ def adversary_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
                        tol: float = 1e-8) -> SandwichReport:
     """Check potential - error <= certified lower lattice value on the interior."""
     mask, pot = _interior_eval(lvf, handle)
-    margins = pot - error_term - lvf.lower[mask]
-    violations = int(np.sum(margins > tol))
-    return SandwichReport("adversary_lower", handle.family, handle.side,
-                          lvf.n, lvf.delta, int(mask.sum()), violations,
-                          float(margins.max()), error_term, error_mode,
-                          float(lvf.width()[mask].max()), tol)
+    return _report("adversary_lower", lvf, mask,
+                   pot - error_term - lvf.lower[mask], lvf.width()[mask].max(),
+                   tol, handle, error_term, error_mode)
 
 
 def player_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
@@ -374,23 +377,19 @@ def player_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
                     tol: float = 1e-8) -> SandwichReport:
     """Check certified upper lattice value <= potential + error on the interior."""
     mask, pot = _interior_eval(lvf, handle)
-    margins = lvf.upper[mask] - (pot + error_term)
-    violations = int(np.sum(margins > tol))
-    return SandwichReport("player_upper", handle.family, handle.side,
-                          lvf.n, lvf.delta, int(mask.sum()), violations,
-                          float(margins.max()), error_term, error_mode,
-                          float(lvf.width()[mask].max()), tol)
+    return _report("player_upper", lvf, mask,
+                   lvf.upper[mask] - (pot + error_term), lvf.width()[mask].max(),
+                   tol, handle, error_term, error_mode)
 
 
 def ordering_check(adv: LatticeValueFunction, ply: LatticeValueFunction,
                    tol: float = 1e-8) -> SandwichReport:
     """Check lower(adversary value) <= upper(player value) stateside."""
-    if adv.states.shape != ply.states.shape or not np.array_equal(adv.states, ply.states):
-        raise ValueError("lattices do not match")
+    game = (adv.n, adv.delta, adv.radius)
+    if game != (ply.n, ply.delta, ply.radius):
+        raise ValueError(f"lattices differ: (n, delta, radius) = {game} "
+                         f"against {(ply.n, ply.delta, ply.radius)}")
     mask = adv.interior_mask()
-    margins = adv.lower[mask] - ply.upper[mask]
-    violations = int(np.sum(margins > tol))
-    width = max(float(adv.width()[mask].max()), float(ply.width()[mask].max()))
-    return SandwichReport("ordering", "none", "none", adv.n, adv.delta,
-                          int(mask.sum()), violations, float(margins.max()),
-                          0.0, "user_supplied", width, tol)
+    width = max(adv.width()[mask].max(), ply.width()[mask].max())
+    return _report("ordering", adv, mask, adv.lower[mask] - ply.upper[mask],
+                   width, tol)

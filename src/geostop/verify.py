@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .game import _check_tol
 from .potentials import (
     PotentialHandle,
     exp_handle,
@@ -270,6 +271,7 @@ def run_suite(suite: str = "all", n: int = 3, delta: float = 0.1,
     """Run one named suite (or all) and return reports keyed by check name."""
     if suite not in SUITES:
         raise ValueError(f"suite must be one of {SUITES}")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
     xs = sample_states(n, delta, samples, rng)
     h = _handles(n, delta)

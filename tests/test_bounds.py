@@ -41,6 +41,16 @@ def test_exp_weights_bound_formula_identity():
                                    atol=1e-15)
 
 
+def test_exp_rows_check_delta():
+    # delta = 1 stops before the first round: no regret, a bound of 0
+    assert exp_weights_bound(3, 1.0).bound == 0.0
+    assert comparison_curves(3, 1.0)["gravin_upper"] > 0.0
+    for d in (float("nan"), 0.0, -0.1, 1.5):
+        for fn in (exp_weights_bound, comparison_curves):
+            with pytest.raises(ValueError, match="delta must lie in"):
+                fn(3, d)
+
+
 def test_heat_bounds_zero_error_closed_form():
     n, d = 3, 0.1
     lo, hi = heat_bounds(n, d, ErrorConstants.zero())

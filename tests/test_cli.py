@@ -49,6 +49,19 @@ def test_parser_lists_all_commands():
      "--samples", "5"],
     ["simulate", "--n", "3", "--delta", "0.1", "--threads", "0"],
     ["simulate", "--n", "3", "--delta", "0.1", "--threads", "-3"],
+    # tolerances under which every comparison passes or none converges
+    ["oracle", "--n", "3", "--delta", "0.01", "--radius", "40",
+     "--adversary", "max", "--errors", "zero", "--tol", "nan"],
+    ["oracle", "--n", "3", "--delta", "0.01", "--radius", "40",
+     "--adversary", "max", "--errors", "zero", "--tol", "inf"],
+    ["oracle", "--n", "2", "--delta", "0.1", "--radius", "8",
+     "--player", "exp", "--tol", "-1e-8"],
+    ["verify", "--tol", "nan"],
+    # rows of the exp family alone check delta too
+    ["bounds", "--n", "3", "--delta", "nan", "--families", "exp"],
+    ["bounds", "--n", "3", "--delta", "0", "--families", "exp"],
+    ["bounds", "--n", "3", "--delta", "1.5", "--families", "exp"],
+    ["figure", "--delta", "nan", "--families", "exp"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     # exit the way the console entry point does: argparse raises
@@ -66,6 +79,13 @@ def test_usage_errors_exit_2(argv, capsys):
      "samples must be at least 1, got 0"),
     (["simulate", "--n", "3", "--delta", "0.1", "--threads", "-3"],
      "threads must be at least 1, got -3"),
+    (["oracle", "--n", "3", "--delta", "0.01", "--radius", "40",
+      "--adversary", "max", "--errors", "zero", "--tol", "nan"],
+     "tol must be a finite number at least 0, got nan"),
+    (["verify", "--tol", "inf"],
+     "tol must be a finite number at least 0, got inf"),
+    (["bounds", "--n", "3", "--delta", "0", "--families", "exp"],
+     "delta must lie in (0, 1], got 0.0"),
 ])
 def test_refused_values_say_why(argv, message, capsys):
     assert main(argv) == 2
@@ -207,6 +227,17 @@ def test_oversized_lattice_is_refused_before_any_estimate(monkeypatch, capsys,
                "--player", player])
     assert rc == 2
     assert "6756622160671 states" in capsys.readouterr().err
+
+
+def test_bad_tolerance_is_refused_before_any_estimate(monkeypatch, capsys):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("error constants were estimated")
+
+    monkeypatch.setattr("geostop.cli.estimate_error_constants", no_estimate)
+    rc = main(["oracle", "--n", "3", "--delta", "0.1", "--radius", "20",
+               "--player", "max", "--tol", "nan"])
+    assert rc == 2
+    assert "tol must be a finite number" in capsys.readouterr().err
 
 
 def test_verify_suite_run(capsys):

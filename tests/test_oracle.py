@@ -135,17 +135,17 @@ def test_batched_projection_matches_the_scalar_reference(n, half, data):
 
 
 def _tables_by_loop(states, shifts, radius):
-    """Dict-and-loop reference for _transition_tables."""
+    """Dict-and-loop reference for _transition_tables, shape (K, S)."""
     index = {tuple(s): i for i, s in enumerate(states.tolist())}
     per_state = shifts if shifts.ndim == 3 else np.broadcast_to(
         shifts, (len(states),) + shifts.shape)
-    nxt = np.empty(per_state.shape[:2], dtype=np.int64)
-    dist = np.zeros(per_state.shape[:2])
+    nxt = np.empty(per_state.shape[1::-1], dtype=np.int64)
+    dist = np.zeros(per_state.shape[1::-1])
     for si, d in enumerate(states):
         for ki, shift in enumerate(per_state[si]):
             proj, moved = _project_one(d + shift, radius)
-            nxt[si, ki] = index[tuple(proj.tolist())]
-            dist[si, ki] = moved
+            nxt[ki, si] = index[tuple(proj.tolist())]
+            dist[ki, si] = moved
     return nxt, dist
 
 
@@ -186,19 +186,30 @@ _PINNED = {
     ("player", "heat"): (153, 1.0314771259345434e-09, 9.283294133410891e-09,
                          3.118950212983792, 3.4759294536511645),
 }
+# The same for the heat adversary at n=5, r=10, as the (K, S) sweeps give
+# it.  Up to n=4 an adversary law has at most 6 outcomes, which numpy sums
+# in the same order along either axis of the tables; this one has 20, whose
+# sum rounds by layout.
+_PINNED_N5 = (189, 1.0000973382773282e-09, 9.000876044495953e-09,
+              1.2448872167622582, 3.909443321117697)
 
 
-@pytest.mark.parametrize("role, kind", list(_PINNED))
-def test_pinned_outputs(role, kind):
-    n, radius, delta = 3, 20, 0.1
+@pytest.mark.parametrize("role, kind, n, radius, want", [
+    pytest.param(role, kind, 3, 20, want, id=f"{role}-{kind}")
+    for (role, kind), want in _PINNED.items()
+] + [pytest.param("adversary", "heat", 5, 10, _PINNED_N5,
+                  id="adversary-heat-n5")])
+def test_pinned_outputs(role, kind, n, radius, want):
+    delta = 0.1
     if role == "adversary":
         lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
                                         radius=radius)
     else:
         lvf = value_iteration_player(make_player(kind, n, delta), n, delta,
                                      radius=radius)
-    got = (lvf.sweeps, lvf.residual, lvf.fixed_point_gap) + lvf.bracket([0, 0])
-    assert got == _PINNED[role, kind]
+    got = (lvf.sweeps, lvf.residual, lvf.fixed_point_gap) \
+        + lvf.bracket([0] * (n - 1))
+    assert got == want
 
 
 def test_project_state_random_targets_land_in_domain():
@@ -327,6 +338,9 @@ def test_player_sandwich_certifies_the_softmax_bound(ply_half):
     assert set(d) == {"kind", "family", "side", "n", "delta", "checked_states",
                       "violations", "worst_margin", "error_term", "error_mode",
                       "max_bracket_width", "tol", "passed"}
+    for other in (exp_handle(3, 0.5), exp_handle(2, 0.2)):
+        with pytest.raises(ValueError, match="potential built for"):
+            player_sandwich(lvf, other, 0.0)
 
 
 def test_adversary_sandwich_flags_a_bad_lower_claim(adv_half):
@@ -336,6 +350,9 @@ def test_adversary_sandwich_flags_a_bad_lower_claim(adv_half):
     assert not report.passed
     assert report.violations == report.checked_states
     assert report.worst_margin > 0.5
+    for other in (exp_handle(3, 0.5), exp_handle(2, 0.2)):
+        with pytest.raises(ValueError, match="potential built for"):
+            adversary_sandwich(adv_half, other, 0.0)
 
 
 def test_ordering_of_the_two_oracles(adv_half, ply_half):
@@ -345,8 +362,31 @@ def test_ordering_of_the_two_oracles(adv_half, ply_half):
     assert report.kind == "ordering"
     small = value_iteration_adversary(make_adversary("heat", 2), 2, 0.5,
                                       radius=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lattices differ"):
         ordering_check(small, lvf)
+    # the same states in another game: delta 0.5 against 0.2
+    other = value_iteration_player(make_player("exp", 2, 0.2), 2, 0.2,
+                                   radius=20)
+    assert np.array_equal(other.states, adv_half.states)
+    with pytest.raises(ValueError, match="lattices differ"):
+        ordering_check(adv_half, other)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_a_tolerance_that_certifies_nothing_is_refused(tol, adv_half,
+                                                       ply_half):
+    lvf, handle = ply_half
+    message = "tol must be a finite number at least 0"
+    with pytest.raises(ValueError, match=message):
+        value_iteration_adversary(make_adversary("heat", 2), 2, 0.5,
+                                  radius=8, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        value_iteration_player(make_player("exp", 2, 0.5), 2, 0.5,
+                               radius=8, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        player_sandwich(lvf, handle, 0.0, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        ordering_check(adv_half, lvf, tol=tol)
 
 
 def test_lattice_accessors(adv_half):
