@@ -344,7 +344,6 @@ def cmd_oracle(args) -> int:
                                         radius, tol)
         err, mode = _oracle_error(args, kind, 0)
         report = adversary_sandwich(lvf, handle, err, mode, tol)
-        role = "adversary"
     else:
         kind = args.player
         player = make_player(kind, n, delta)
@@ -355,7 +354,6 @@ def cmd_oracle(args) -> int:
         lvf = value_iteration_player(player, n, delta, radius, tol,
                                      error_term=err)
         report = player_sandwich(lvf, player.handle, err, mode, tol)
-        role = "player"
 
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -366,7 +364,7 @@ def cmd_oracle(args) -> int:
                 writer.writerow(state + [repr(float(lo)), repr(float(hi))])
 
     payload = {
-        "role": role, "kind": kind, "n": n, "delta": delta,
+        "role": lvf.role, "kind": kind, "n": n, "delta": delta,
         "radius": radius, "tol": tol, "states": int(lvf.states.shape[0]),
         "value_at_origin": lvf.value_at_origin(),
         "origin_bracket": list(lvf.bracket(np.zeros(n - 1, dtype=np.int64))),
@@ -375,7 +373,7 @@ def cmd_oracle(args) -> int:
     }
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     state_word = "pass" if report.passed else "FAIL"
-    print(f"oracle: {role} {kind} v(0)={lvf.value_at_origin():.6f} "
+    print(f"oracle: {lvf.role} {kind} v(0)={lvf.value_at_origin():.6f} "
           f"sandwich {state_word} (worst margin {report.worst_margin:+.3e})",
           file=sys.stderr)
     return 0 if report.passed else 1

@@ -40,10 +40,12 @@ def clip_simplex(p) -> np.ndarray:
 
 
 def check_stopping_rate(delta: float, allow_one: bool = True) -> float:
-    """Validate the per-round stopping probability delta in (0, 1]."""
+    """Validate the per-round stopping probability delta in (0, 1], or in
+    (0, 1) when allow_one is false."""
     delta = float(delta)
     if not 0.0 < delta <= (1.0 if allow_one else 1.0 - 1e-15):
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+        interval = "(0, 1]" if allow_one else "(0, 1)"
+        raise ValueError(f"delta must lie in {interval}, got {delta}")
     return delta
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -137,9 +138,12 @@ class LatticeValueFunction:
 
     lower/upper are certified bounds on the untruncated value at each
     state; residual is the final sup-norm update of the iteration and
-    fixed_point_gap the implied distance to the exact fixed points.
+    fixed_point_gap the implied distance to the exact fixed points.  role
+    names the fixed side: "adversary" for value_iteration_adversary,
+    "player" for value_iteration_player.
     """
 
+    role: str
     n: int
     delta: float
     radius: int
@@ -156,11 +160,14 @@ class LatticeValueFunction:
             x = x[..., :-1] - x[..., -1:]
         x = np.atleast_1d(x)
         if x.shape == (self.n - 1,) and np.all(np.abs(x) <= self.radius):
-            keys = _lattice_key(self.states, self.radius)
-            i = int(np.searchsorted(keys, _lattice_key(x, self.radius)))
-            if i < keys.size and np.array_equal(self.states[i], x):
+            i = int(np.searchsorted(self._keys, _lattice_key(x, self.radius)))
+            if i < self._keys.size and np.array_equal(self.states[i], x):
                 return i
         raise KeyError(f"state {tuple(x.tolist())} outside the truncated lattice")
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return _lattice_key(self.states, self.radius)
 
     def bracket(self, x) -> tuple[float, float]:
         i = self.state_index(x)
@@ -215,11 +222,13 @@ def _setup(n: int, delta: float, radius: int, tol: float):
     return states, _full_rows(states)
 
 
-def _solve(states, delta, radius, tol, lower, upper) -> LatticeValueFunction:
+def _solve(role, states, delta, radius, tol, lower,
+           upper) -> LatticeValueFunction:
     """Sweep both runs of v <- delta*g + (1-delta)*R(v) to accuracy tol.
 
     ``lower`` and ``upper`` give R(v), the continuation of the pessimistic
-    and the optimistic run; g is the score max(d, 0) of each state.
+    and the optimistic run; g is the score max(d, 0) of each state.  The
+    role only labels the result.
     """
     g = np.maximum(states.max(axis=1), 0).astype(float)
     stop = delta * g
@@ -231,8 +240,8 @@ def _solve(states, delta, radius, tol, lower, upper) -> LatticeValueFunction:
         diff = max(np.max(np.abs(new_lo - v_lo)), np.max(np.abs(new_hi - v_hi)))
         v_lo, v_hi = new_lo, new_hi
         if factor * diff <= tol or diff == 0.0:
-            return LatticeValueFunction(states.shape[1] + 1, delta, radius,
-                                        states, v_lo, v_hi, diff,
+            return LatticeValueFunction(role, states.shape[1] + 1, delta,
+                                        radius, states, v_lo, v_hi, diff,
                                         factor * diff, sweeps)
     raise RuntimeError("value iteration failed to converge")
 
@@ -260,7 +269,7 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
     def expectation(charge):
         return lambda v: lin + (probs[:, None] * (v[nxt] + charge)).sum(axis=0)
 
-    return _solve(states, delta, radius, tol,
+    return _solve("adversary", states, delta, radius, tol,
                   expectation(-dist), expectation(dist))
 
 
@@ -315,7 +324,7 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
         cand += lin
         return cand.max(axis=0)
 
-    return _solve(states, delta, radius, tol, lower, upper)
+    return _solve("player", states, delta, radius, tol, lower, upper)
 
 
 @dataclass(frozen=True)
@@ -354,7 +363,13 @@ def _report(kind, lvf, mask, margins, width, tol, handle=None,
                           float(width), tol)
 
 
-def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle):
+def _check_role(lvf: LatticeValueFunction, role: str) -> None:
+    if lvf.role != role:
+        raise ValueError(f"expected the {role} lattice, got the {lvf.role} one")
+
+
+def _interior_eval(lvf: LatticeValueFunction, handle: PotentialHandle, role):
+    _check_role(lvf, role)
     if (handle.n, handle.delta) != (lvf.n, lvf.delta):
         raise ValueError(f"potential built for n={handle.n}, delta="
                          f"{handle.delta}, not n={lvf.n}, delta={lvf.delta}")
@@ -366,7 +381,7 @@ def adversary_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
                        error_term: float, error_mode: str = "user_supplied",
                        tol: float = 1e-8) -> SandwichReport:
     """Check potential - error <= certified lower lattice value on the interior."""
-    mask, pot = _interior_eval(lvf, handle)
+    mask, pot = _interior_eval(lvf, handle, "adversary")
     return _report("adversary_lower", lvf, mask,
                    pot - error_term - lvf.lower[mask], lvf.width()[mask].max(),
                    tol, handle, error_term, error_mode)
@@ -376,7 +391,7 @@ def player_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
                     error_term: float, error_mode: str = "user_supplied",
                     tol: float = 1e-8) -> SandwichReport:
     """Check certified upper lattice value <= potential + error on the interior."""
-    mask, pot = _interior_eval(lvf, handle)
+    mask, pot = _interior_eval(lvf, handle, "player")
     return _report("player_upper", lvf, mask,
                    lvf.upper[mask] - (pot + error_term), lvf.width()[mask].max(),
                    tol, handle, error_term, error_mode)
@@ -385,6 +400,8 @@ def player_sandwich(lvf: LatticeValueFunction, handle: PotentialHandle,
 def ordering_check(adv: LatticeValueFunction, ply: LatticeValueFunction,
                    tol: float = 1e-8) -> SandwichReport:
     """Check lower(adversary value) <= upper(player value) stateside."""
+    _check_role(adv, "adversary")
+    _check_role(ply, "player")
     game = (adv.n, adv.delta, adv.radius)
     if game != (ply.n, ply.delta, ply.radius):
         raise ValueError(f"lattices differ: (n, delta, radius) = {game} "

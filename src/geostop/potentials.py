@@ -23,12 +23,23 @@ value_batch/gradient_batch a batch of states in rows of shape (b, n).
 fixed_value_batch evaluates the heat or max fixed-time solution at the
 handle's own kappa, for the derivative-constant scans and the final-time
 check.
+
+A heat weight multiplies log-CDF terms log Phi(y + (x_i - x_j)/sigma) that
+depend on a state only through its pairwise differences, and the states a
+game visits share few of them.  Each heat handle therefore keeps a memo of
+these terms, one column over the (sigma, y) nodes per difference, filled
+as gradient_batch meets new differences and bounded by _CHUNK_BUDGET
+doubles.  The memo lives and dies with its handle; the columns are
+computed with the same arithmetic as the entries they replace and summed
+in the same order, so every weight keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy import special
@@ -150,6 +161,9 @@ class PotentialHandle:
     kappa: float | None = None
     eta: float | None = None
     shift_constant: float = 0.0
+    # a heat handle's log-CDF columns, one per pairwise difference met
+    _log_cdf: _LogCdfColumns | None = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if self.family not in ("exp_weights", "heat", "max"):
@@ -170,6 +184,8 @@ class PotentialHandle:
                 raise ValueError("n must be at least 2")
         if self.shift_constant < 0:
             raise ValueError("shift constant must be nonnegative")
+        memo = _LogCdfColumns() if self.family == "heat" else None
+        object.__setattr__(self, "_log_cdf", memo)
 
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -191,8 +207,10 @@ class PotentialHandle:
         if self.family == "exp_weights":
             X = np.asarray(X, dtype=float)
             return special.softmax(self.eta * X, axis=-1)
-        kernel = _heat_grad_batch if self.family == "heat" else _max_grad_batch
-        return _geometric_gradient(_as_batch(X), self, kernel)
+        if self.family == "heat":
+            return _geometric_gradient(_as_batch(X), self, _heat_grad_batch,
+                                       self._log_cdf)
+        return _geometric_gradient(_as_batch(X), self, _max_grad_batch)
 
     def fixed_value_batch(self, X, t: float) -> np.ndarray:
         """Fixed-time solution u(x, t) at the handle's kappa and a time t < 0,
@@ -262,19 +280,90 @@ def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return m[:, None] + sigmas[None, :] * (g * _U_WEIGHTS).sum(-1)
 
 
-def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray,
+                     memo: _LogCdfColumns | None = None) -> np.ndarray:
     """Gradient of the smoothed max: entry i is P-like weight of coordinate i.
 
     Returns shape (b, t, n).  Entry i equals the Gaussian integral of
     prod_{j != i} Phi(y + (x_i - x_j)/sigma) against the standard normal
-    density, so entries are nonnegative and sum to one.
+    density, so entries are nonnegative and sum to one.  The log-CDF
+    depends on x_i - x_j only, so it is evaluated once per distinct
+    difference (once per handle given its memo) and gathered into the
+    (b, t, y, n, n) tensor that the sums reduce.
     """
-    diffs = X[:, :, None] - X[:, None, :]
-    z = diffs[:, None, :, :] / sigmas[None, :, None, None]
-    args = _YG_NODES[None, None, :, None, None] + z[:, :, None, :, :]
-    logcdf = special.log_ndtr(args)
-    s = logcdf.sum(axis=-1) - _LOG_NDTR_YG[None, None, :, None]
-    return (np.exp(s) * _YG_PDF_W[None, None, :, None]).sum(axis=2)
+    b, n = X.shape
+    diffs, inv = np.unique(X[:, :, None] - X[:, None, :], return_inverse=True)
+    if memo is None:
+        table, cols = _log_cdf_columns(diffs, sigmas), inv.reshape(b, n * n)
+    else:
+        table, slots = memo.lookup(diffs, sigmas)
+        cols = slots[inv.reshape(b, n * n)]
+    logcdf = np.empty((b, table.shape[0], n * n))
+    for r in range(b):
+        np.take(table, cols[r], axis=1, out=logcdf[r], mode="clip")
+    s = logcdf.reshape(b, sigmas.size, _YG_NODES.size, n, n).sum(axis=-1)
+    s -= _LOG_NDTR_YG[:, None]
+    np.exp(s, out=s)
+    s *= _YG_PDF_W[:, None]
+    return s.sum(axis=2)
+
+
+def _log_cdf_columns(diffs: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """log_ndtr(y + d/sigma) over the (sigma, y) nodes, one column per d:
+    shape (t * y, m), the arithmetic of one entry of the gradient tensor."""
+    z = diffs[None, :] / sigmas[:, None]
+    args = _YG_NODES[None, :, None] + z[:, None, :]
+    rows = sigmas.size * _YG_NODES.size
+    return special.log_ndtr(args).reshape(rows, diffs.size)
+
+
+class _LogCdfColumns:
+    """A heat handle's log-CDF columns, keyed by pairwise difference.
+
+    The columns belong to the handle's gradient sigmas and sit side by side
+    in one (t * y, capacity) table of at most _CHUNK_BUDGET doubles; past
+    that, a call computes all its columns for itself.  New columns are
+    computed and written with the lock held, past the columns any reader
+    may hold; the table grows by replacement, and a difference enters the
+    index only after its column is written, so a table read after the
+    index holds every column the index named.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._index = {}  # difference -> column of the table
+        self._table = np.zeros((0, 0))
+
+    def _slots(self, diffs: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(self._index.get, diffs.tolist(), repeat(-1)),
+                           dtype=np.int64, count=diffs.size)
+
+    def lookup(self, diffs: np.ndarray, sigmas: np.ndarray):
+        """A table and the column that holds each of the distinct diffs."""
+        slots = self._slots(diffs)
+        if slots.min(initial=0) >= 0:
+            return self._table, slots
+        rows = sigmas.size * _YG_NODES.size
+        with self._lock:
+            slots = self._slots(diffs)
+            miss = slots < 0
+            first = len(self._index)
+            stop = first + int(miss.sum())
+            if stop * rows <= _CHUNK_BUDGET:
+                table = self._table
+                if stop > table.shape[1]:
+                    size = min(max(stop, 2 * table.shape[1]),
+                               _CHUNK_BUDGET // rows)
+                    table = np.empty((rows, size))
+                    if first:
+                        table[:, :first] = self._table[:, :first]
+                table[:, first:stop] = _log_cdf_columns(diffs[miss], sigmas)
+                self._table = table
+                slots[miss] = np.arange(first, stop)
+                self._index.update(zip(diffs[miss].tolist(), range(first, stop)))
+                return table, slots
+        # the memo is full: this call computes its own columns
+        return _log_cdf_columns(diffs, sigmas), np.arange(diffs.size)
 
 
 def _ranked(X: np.ndarray):
@@ -337,8 +426,8 @@ _ROW_DOUBLES = {
 }
 
 
-def _time_sum(kernel, X, sigmas, w):
-    """sum_i w[i] * kernel(X, sigmas)[:, i], evaluated in blocks of rows.
+def _time_sum(kernel, X, sigmas, w, *args):
+    """sum_i w[i] * kernel(X, sigmas, *args)[:, i], evaluated in blocks of rows.
 
     ``w`` holds one weight per sigma, shaped to broadcast against a row of
     the kernel's output.  A block holds at most _CHUNK_BUDGET doubles as
@@ -348,8 +437,8 @@ def _time_sum(kernel, X, sigmas, w):
     per_row = sigmas.size * _ROW_DOUBLES[kernel](X.shape[1])
     step = max(1, _CHUNK_BUDGET // per_row)
     if X.shape[0] <= step:
-        return (kernel(X, sigmas) * w).sum(axis=1)
-    return np.concatenate([(kernel(X[lo:lo + step], sigmas) * w).sum(axis=1)
+        return (kernel(X, sigmas, *args) * w).sum(axis=1)
+    return np.concatenate([(kernel(X[lo:lo + step], sigmas, *args) * w).sum(1)
                            for lo in range(0, X.shape[0], step)])
 
 
@@ -366,10 +455,10 @@ def _geometric_value(X, handle, kernel):
     return vals + handle.shift_constant
 
 
-def _geometric_gradient(X, handle, kernel):
+def _geometric_gradient(X, handle, kernel, *args):
     t, w = exp_time_nodes(handle.delta, order=_GRAD_TIME_ORDER)
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
-    return clip_simplex(_time_sum(kernel, X, sigmas, w[:, None]))
+    return clip_simplex(_time_sum(kernel, X, sigmas, w[:, None], *args))
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ def test_usage_errors_exit_2(argv, capsys):
      "tol must be a finite number at least 0, got inf"),
     (["bounds", "--n", "3", "--delta", "0", "--families", "exp"],
      "delta must lie in (0, 1], got 0.0"),
+    (["simulate", "--n", "2", "--delta", "1"], "delta must lie in (0, 1), got 1.0"),
+    (["bounds", "--n", "2", "--delta", "1"], "delta must lie in (0, 1), got 1.0"),
 ])
 def test_refused_values_say_why(argv, message, capsys):
     assert main(argv) == 2

@@ -36,5 +36,5 @@ def test_stopping_rate_rejects(delta):
 
 
 def test_stopping_rate_strict_mode():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(0, 1\), got 1.0"):
         check_stopping_rate(1.0, allow_one=False)

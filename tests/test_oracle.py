@@ -372,6 +372,18 @@ def test_ordering_of_the_two_oracles(adv_half, ply_half):
         ordering_check(adv_half, other)
 
 
+def test_lattices_know_their_role(adv_half, ply_half):
+    lvf, handle = ply_half
+    assert (adv_half.role, lvf.role) == ("adversary", "player")
+    # swapped, the two lattices used to report false violations
+    with pytest.raises(ValueError, match="expected the adversary lattice"):
+        ordering_check(lvf, adv_half)
+    with pytest.raises(ValueError, match="expected the player lattice"):
+        player_sandwich(adv_half, handle, 0.0)
+    with pytest.raises(ValueError, match="expected the adversary lattice"):
+        adversary_sandwich(lvf, handle, 0.0)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
 def test_a_tolerance_that_certifies_nothing_is_refused(tol, adv_half,
                                                        ply_half):
@@ -403,3 +415,19 @@ def test_lattice_accessors(adv_half):
     assert lo <= hi
     assert adv_half.value([4]) == 0.5 * (lo + hi)
     assert np.all(adv_half.width() >= 0.0)
+
+
+def test_state_keys_are_computed_once_per_lattice(monkeypatch):
+    lvf = value_iteration_adversary(make_adversary("heat", 3), 3, 0.5, radius=8)
+    sizes, key = [], oracle._lattice_key
+
+    def counting(d, radius):
+        sizes.append(np.asarray(d).reshape(-1, 2).shape[0])
+        return key(d, radius)
+
+    monkeypatch.setattr(oracle, "_lattice_key", counting)
+    for _ in range(3):
+        lvf.value_at_origin()
+    lvf.bracket([2, 0])
+    assert sizes.count(lvf.states.shape[0]) == 1
+    assert sizes.count(1) == 4

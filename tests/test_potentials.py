@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -365,6 +367,107 @@ def test_pinned_handle_outputs():
         X = _pinned_states(int(n))
         assert h.value_batch(X).tolist() == want["value"], key
         assert h.gradient_batch(X).tolist() == want["gradient"], key
+
+
+_PINNED_HEAT_GRADIENTS = json.loads(
+    (Path(__file__).parent / "data" / "pinned_heat_gradients.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_HEAT_GRADIENTS))
+def test_pinned_heat_gradients_at_eight_and_ten_experts(key):
+    # n = 8 and 10 straddle the length from which numpy sums the n
+    # log-CDF terms of a weight pairwise instead of left to right
+    name, n, delta = key.split("/")
+    h = _FACTORIES[name](int(n), float(delta))
+    got = h.gradient_batch(_pinned_states(int(n))).tolist()
+    assert got == _PINNED_HEAT_GRADIENTS[key]
+
+
+def _direct_heat_grad(X, sigmas):
+    """The heat weight kernel without its memo: one log_ndtr per entry."""
+    diffs = X[:, :, None] - X[:, None, :]
+    z = diffs[:, None, :, :] / sigmas[None, :, None, None]
+    args = potentials._YG_NODES[None, None, :, None, None] + z[:, :, None, :, :]
+    logcdf = special.log_ndtr(args)
+    s = logcdf.sum(axis=-1) - potentials._LOG_NDTR_YG[None, None, :, None]
+    return (np.exp(s) * potentials._YG_PDF_W[None, None, :, None]).sum(axis=2)
+
+
+def _direct_gradient(h, X):
+    t, w = potentials.exp_time_nodes(h.delta, order=potentials._GRAD_TIME_ORDER)
+    sigmas = np.sqrt(2.0 * h.kappa * (-t))
+    return clip_simplex((_direct_heat_grad(X, sigmas) * w[:, None]).sum(axis=1))
+
+
+def _three_time_nodes(delta, order=12):
+    """The first, middle and last node of the time rule, weights renormalized,
+    to keep tests short."""
+    t, w = exp_time_nodes(delta, order=order)
+    pick = [0, t.size // 2, t.size - 1]
+    return t[pick], w[pick] / w[pick].sum()
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_memoized_heat_weights_match_the_direct_formula(n, monkeypatch):
+    monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
+    rng = np.random.default_rng(n)
+    rows = {"integer": np.round(rng.normal(size=(64, n)) * 5.0),
+            "real": rng.normal(size=(64, n)) * 5.0}
+    for factory in (heat_lower_handle, heat_upper_handle):
+        for kind, X in rows.items():
+            want = _direct_gradient(factory(n, 0.05), X)
+            h = factory(n, 0.05)
+            assert np.array_equal(h.gradient_batch(X[:1]), want[:1]), kind  # cold
+            assert np.array_equal(h.gradient_batch(X), want), kind  # partly warm
+            assert np.array_equal(h.gradient_batch(X), want), kind  # warm
+            assert np.array_equal(factory(n, 0.05).gradient_batch(X), want), kind
+            fresh = factory(n, 0.05)
+            one_by_one = np.array([fresh.gradient_batch(x[None, :])[0] for x in X])
+            assert np.array_equal(one_by_one, want), kind
+
+
+def test_a_full_memo_keeps_its_bound_and_every_bit(monkeypatch):
+    monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
+    rows = 3 * potentials._YG_NODES.size
+    budget = 10 * rows
+    X = np.round(np.random.default_rng(3).normal(size=(40, 4)) * 8.0)
+    want = _direct_gradient(heat_upper_handle(4, 0.05), X)
+    monkeypatch.setattr(potentials, "_CHUNK_BUDGET", budget)
+    h = heat_upper_handle(4, 0.05)
+    memo = h._log_cdf
+    for _ in range(2):
+        assert np.array_equal(h.gradient_batch(X), want)
+        assert np.array_equal(np.array([h.gradient_batch(x[None, :])[0] for x in X]),
+                              want)
+        assert 0 < len(memo._index) <= 10
+        assert memo._table.size <= budget
+
+
+def test_threads_share_one_memo(monkeypatch):
+    monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
+    rng = np.random.default_rng(9)
+    batches = [np.round(rng.normal(size=(6, 4)) * 6.0) for _ in range(32)]
+    want = [_direct_gradient(heat_upper_handle(4, 0.05), X) for X in batches]
+    h = heat_upper_handle(4, 0.05)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(h.gradient_batch, X) for X in batches]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # every difference met holds one column of its own, computed afresh
+    memo = h._log_cdf
+    diffs = np.unique([X[:, :, None] - X[:, None, :] for X in batches])
+    assert sorted(memo._index) == diffs.tolist()
+    assert sorted(memo._index.values()) == list(range(diffs.size))
+    t, _ = _three_time_nodes(0.05, order=potentials._GRAD_TIME_ORDER)
+    sigmas = np.sqrt(2.0 * h.kappa * (-t))
+    cols = [memo._index[d] for d in diffs.tolist()]
+    assert np.array_equal(memo._table[:, cols],
+                          potentials._log_cdf_columns(diffs, sigmas))
 
 
 def test_row_blocks_leave_every_bit_alone(monkeypatch):
