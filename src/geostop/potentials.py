@@ -24,12 +24,21 @@ fixed_value_batch evaluates the heat or max fixed-time solution at the
 handle's own kappa, for the derivative-constant scans and the final-time
 check.
 
+A heat value multiplies CDF terms Phi(u - (x_k - max x)/sigma) that depend
+on a state only through its differences from its maximum.  Each call
+evaluates one column over the (sigma, u) nodes per distinct difference and
+multiplies a row's columns in coordinate order; the finite-difference and
+scan stencils of verify and bounds share most of their differences within
+a call, and every value keeps its bits.
+
 A heat weight multiplies log-CDF terms log Phi(y + (x_i - x_j)/sigma) that
 depend on a state only through its pairwise differences, and the states a
 game visits share few of them.  Each heat handle therefore keeps a memo of
 these terms, one column over the (sigma, y) nodes per difference, filled
-as gradient_batch meets new differences and bounded by _CHUNK_BUDGET
-doubles.  The memo lives and dies with its handle; the columns are
+as gradient_batch meets new whole-number differences (those of the
+lattice states that simulate and oracle pass) and bounded by _CHUNK_BUDGET
+doubles; a call with any other difference computes its columns for
+itself.  The memo lives and dies with its handle; the columns are
 computed with the same arithmetic as the entries they replace and summed
 in the same order, so every weight keeps its bits.
 """
@@ -79,8 +88,8 @@ _CHUNK_BUDGET = 16_000_000
 # (t, n) arrays counted per row of a max kernel: five or six are alive at
 # its peak (tracemalloc), and counting eight keeps blocks below the budget
 _MAX_LIVE = 8
-# copies of its largest tensor a heat kernel keeps alive at once: the
-# arguments, their ndtr/log_ndtr, and the weighted product
+# copies of its largest tensor the heat weight kernel keeps alive at once:
+# the arguments, their log_ndtr, and the weighted product
 _HEAT_LIVE = 3
 
 
@@ -161,7 +170,8 @@ class PotentialHandle:
     kappa: float | None = None
     eta: float | None = None
     shift_constant: float = 0.0
-    # a heat handle's log-CDF columns, one per pairwise difference met
+    # a heat handle's log-CDF columns, one per whole-number pairwise
+    # difference met
     _log_cdf: _LogCdfColumns | None = field(init=False, repr=False,
                                             compare=False)
 
@@ -270,14 +280,29 @@ def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
     Returns shape (b, t).  Uses the tail identity for the expectation of a
     maximum, integrating in units of sigma so one fixed rule serves all
-    scales.
+    scales.  The CDF of coordinate k depends on the row only through
+    x_k - max x, so its column over the (sigma, u) nodes is evaluated once
+    per distinct difference in the call; each row's product takes its
+    columns in coordinate order, the order of a product over a last axis.
     """
+    b, n = X.shape
     m = X.max(axis=1)
-    z = (X - m[:, None])[:, None, :] / sigmas[None, :, None]
-    args = _U_NODES[None, None, :, None] - z[:, :, None, :]
-    cdf = special.ndtr(args).prod(axis=-1)
-    g = np.where(_U_NODES[None, None, :] > 0.0, 1.0 - cdf, -cdf)
-    return m[:, None] + sigmas[None, :] * (g * _U_WEIGHTS).sum(-1)
+    diffs, inv = np.unique(X - m[:, None], return_inverse=True)
+    inv = inv.reshape(b, n)
+    z = diffs[:, None] / sigmas[None, :]
+    cols = _U_NODES[None, None, :] - z[:, :, None]
+    special.ndtr(cols, out=cols)
+    cdf = np.take(cols, inv[:, 0], axis=0)
+    term = np.empty_like(cdf)
+    for k in range(1, n):
+        np.take(cols, inv[:, k], axis=0, out=term, mode="clip")
+        cdf *= term
+    # g = 1 - cdf on the positive nodes and -cdf on the others, in place
+    upper = _U_NODES > 0.0
+    np.subtract(1.0, cdf, out=cdf, where=upper)
+    np.negative(cdf, out=cdf, where=~upper)
+    cdf *= _U_WEIGHTS
+    return m[:, None] + sigmas[None, :] * cdf.sum(-1)
 
 
 def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray,
@@ -288,12 +313,15 @@ def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray,
     prod_{j != i} Phi(y + (x_i - x_j)/sigma) against the standard normal
     density, so entries are nonnegative and sum to one.  The log-CDF
     depends on x_i - x_j only, so it is evaluated once per distinct
-    difference (once per handle given its memo) and gathered into the
-    (b, t, y, n, n) tensor that the sums reduce.
+    difference (once per handle given its memo and whole-number
+    differences) and gathered into the (b, t, y, n, n) tensor that the sums
+    reduce.
     """
     b, n = X.shape
     diffs, inv = np.unique(X[:, :, None] - X[:, None, :], return_inverse=True)
-    if memo is None:
+    # only whole-number differences, those of lattice states, recur across
+    # calls; a call with any other difference computes all its columns
+    if memo is None or not np.array_equal(diffs, np.floor(diffs)):
         table, cols = _log_cdf_columns(diffs, sigmas), inv.reshape(b, n * n)
     else:
         table, slots = memo.lookup(diffs, sigmas)
@@ -416,10 +444,12 @@ def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return np.take_along_axis(g, inv[:, None, :], axis=-1)
 
 
-# doubles one row keeps live per sigma, given n: copies of the heat
-# kernels' largest tensor, the max kernels' (t, n) temporaries
+# doubles one row keeps live per sigma, given n: for heat values its CDF
+# columns (at most n - 1 new differences a row), the running product and
+# one gathered operand; copies of the heat weights' largest tensor; the
+# max kernels' (t, n) temporaries (all as tracemalloc sees them)
 _ROW_DOUBLES = {
-    _heat_value_batch: lambda n: _HEAT_LIVE * _U_NODES.size * n,
+    _heat_value_batch: lambda n: (n + 1) * _U_NODES.size,
     _heat_grad_batch: lambda n: _HEAT_LIVE * _YG_NODES.size * n * n,
     _max_value_batch: lambda n: _MAX_LIVE * n,
     _max_grad_batch: lambda n: _MAX_LIVE * n,

@@ -383,6 +383,44 @@ def test_pinned_heat_gradients_at_eight_and_ten_experts(key):
     assert got == _PINNED_HEAT_GRADIENTS[key]
 
 
+_PINNED_HEAT_VALUES = json.loads(
+    (Path(__file__).parent / "data" / "pinned_heat_values.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_HEAT_VALUES))
+def test_pinned_heat_values_at_eight_and_ten_experts(key):
+    name, n, delta = key.split("/")
+    h = _FACTORIES[name](int(n), float(delta))
+    got = h.value_batch(_pinned_states(int(n))).tolist()
+    assert got == _PINNED_HEAT_VALUES[key]
+
+
+def _direct_heat_value(X, sigmas):
+    """The heat value kernel without its dedupe: one ndtr per entry."""
+    m = X.max(axis=1)
+    z = (X - m[:, None])[:, None, :] / sigmas[None, :, None]
+    args = potentials._U_NODES[None, None, :, None] - z[:, :, None, :]
+    cdf = special.ndtr(args).prod(axis=-1)
+    g = np.where(potentials._U_NODES[None, None, :] > 0.0, 1.0 - cdf, -cdf)
+    return m[:, None] + sigmas[None, :] * (g * potentials._U_WEIGHTS).sum(-1)
+
+
+def _direct_value(h, X):
+    t, w = potentials.exp_time_nodes(h.delta)
+    sigmas = np.sqrt(2.0 * h.kappa * (-t))
+    vals = (_direct_heat_value(X, sigmas) * w).sum(axis=1)
+    if h.side == "lower":
+        return vals - h.shift_constant
+    return vals + h.shift_constant
+
+
+def _hessian_stencil(X):
+    """The rows fd_hessian_batch hands to its evaluator for the rows of X."""
+    seen = []
+    fd_hessian_batch(lambda pts: seen.append(pts) or np.zeros(len(pts)), X)
+    return seen[0]
+
+
 def _direct_heat_grad(X, sigmas):
     """The heat weight kernel without its memo: one log_ndtr per entry."""
     diffs = X[:, :, None] - X[:, None, :]
@@ -424,6 +462,48 @@ def test_memoized_heat_weights_match_the_direct_formula(n, monkeypatch):
             fresh = factory(n, 0.05)
             one_by_one = np.array([fresh.gradient_batch(x[None, :])[0] for x in X])
             assert np.array_equal(one_by_one, want), kind
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_deduplicated_heat_values_match_the_direct_formula(n, monkeypatch):
+    monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
+    rng = np.random.default_rng(100 + n)
+    real = rng.normal(size=(64, n)) * 5.0
+    ties = np.round(real[:16])
+    ties[:, 1] = ties[:, 0]
+    ties[8:, 2 % n] += 1e-13
+    rows = {"integer": np.round(real), "real": real,
+            "stencils": _hessian_stencil(real[:2]), "near ties": ties,
+            "duplicates": np.repeat(real[:8], 3, axis=0), "single": real[:1]}
+    for factory in (heat_lower_handle, heat_upper_handle):
+        h = factory(n, 0.05)
+        for kind, X in rows.items():
+            assert np.array_equal(h.value_batch(X), _direct_value(h, X)), kind
+        sigma = np.array([math.sqrt(2.0 * h.kappa * 0.3)])
+        for kind, X in rows.items():
+            want = (_direct_heat_value(X, sigma) * np.ones(1)).sum(axis=1)
+            assert np.array_equal(h.fixed_value_batch(X, -0.3), want), kind
+
+
+def test_only_whole_number_differences_enter_the_weight_memo(monkeypatch):
+    monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
+    real = np.random.default_rng(12).normal(size=(50, 3)) * 5.0
+    whole = np.round(real)
+    h = heat_upper_handle(3, 0.01)
+    memo = h._log_cdf
+    want_real = _direct_gradient(h, real)
+    assert np.array_equal(h.gradient_batch(real), want_real)
+    assert not memo._index and memo._table.size == 0
+    want_whole = _direct_gradient(h, whole)
+    assert np.array_equal(h.gradient_batch(whole), want_whole)
+    filled = len(memo._index)
+    assert filled == np.unique(whole[:, :, None] - whole[:, None, :]).size
+    # one real row keeps the whole call out of the memo, and off its bits
+    mixed = np.vstack([real[:1] + 100.0, whole])
+    assert np.array_equal(h.gradient_batch(mixed), _direct_gradient(h, mixed))
+    assert len(memo._index) == filled
+    assert np.array_equal(h.gradient_batch(real), want_real)
+    assert np.array_equal(h.gradient_batch(whole), want_whole)
 
 
 def test_a_full_memo_keeps_its_bound_and_every_bit(monkeypatch):
@@ -490,19 +570,23 @@ def test_empty_batches_give_empty_gradients(name):
 
 
 def test_heat_blocks_stay_inside_the_budget(monkeypatch):
-    # every heat tensor alive at a block's peak counts against the budget
+    # every heat tensor alive at a block's peak counts against the budget,
+    # also for real rows, whose differences repeat in no other row
     budget = 2_000_000
     monkeypatch.setattr(potentials, "_CHUNK_BUDGET", budget)
-    X = np.round(np.random.default_rng(8).normal(size=(100, 3)) * 10.0)
-    for evaluate in (make_player("heat", 3, 0.01).weights_batch,
-                     heat_upper_handle(3, 0.01).value_batch):
-        tracemalloc.start()
-        try:
-            evaluate(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * 8 * budget, (evaluate, peak / 2**20)
+    rng = np.random.default_rng(8)
+    for n in (2, 3):
+        real = rng.normal(size=(100, n)) * 10.0
+        for X in (np.round(real), real):
+            for evaluate in (make_player("heat", n, 0.01).weights_batch,
+                             heat_upper_handle(n, 0.01).value_batch):
+                tracemalloc.start()
+                try:
+                    evaluate(X)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1.25 * 8 * budget, (n, evaluate, peak / 2**20)
 
 
 def test_handle_validation():
