@@ -41,6 +41,16 @@ doubles; a call with any other difference computes its columns for
 itself.  The memo lives and dies with its handle; the columns are
 computed with the same arithmetic as the entries they replace and summed
 in the same order, so every weight keeps its bits.
+
+A max value or weight depends on a state only through its ranked gaps, and
+the lattice states of oracle share few gap tuples (816 among the 14,911
+states at n=4, radius 30).  Each call therefore evaluates the ranked
+formula once per distinct gap tuple, found by a lexsort of their bits,
+and gathers the results by row: a value before the row's mean is added, a
+weight after its time sum and before it is unsorted to input order.  At a
+single sigma (fixed_value_batch) the sort would cost more than it saves,
+and every row is evaluated for itself.  Every value and weight keeps its
+bits.
 """
 
 from __future__ import annotations
@@ -85,9 +95,6 @@ _GRAD_TIME_ORDER = 6
 # Kernels run on blocks of rows sized so that the temporaries _ROW_DOUBLES
 # counts hold at most this many doubles (~128 MB).
 _CHUNK_BUDGET = 16_000_000
-# (t, n) arrays counted per row of a max kernel: five or six are alive at
-# its peak (tracemalloc), and counting eight keeps blocks below the budget
-_MAX_LIVE = 8
 # copies of its largest tensor the heat weight kernel keeps alive at once:
 # the arguments, their log_ndtr, and the weighted product
 _HEAT_LIVE = 3
@@ -275,10 +282,12 @@ def _as_batch(x):
     return X
 
 
-def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """E[max_k (x_k - sigma Y_k)] for every row of X and every sigma.
+def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray,
+                      w: np.ndarray) -> np.ndarray:
+    """E[max_k (x_k - sigma Y_k)] for every row of X, summed over the sigmas
+    with weights w.
 
-    Returns shape (b, t).  Uses the tail identity for the expectation of a
+    Returns shape (b,).  Uses the tail identity for the expectation of a
     maximum, integrating in units of sigma so one fixed rule serves all
     scales.  The CDF of coordinate k depends on the row only through
     x_k - max x, so its column over the (sigma, u) nodes is evaluated once
@@ -302,16 +311,17 @@ def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     np.subtract(1.0, cdf, out=cdf, where=upper)
     np.negative(cdf, out=cdf, where=~upper)
     cdf *= _U_WEIGHTS
-    return m[:, None] + sigmas[None, :] * cdf.sum(-1)
+    return ((m[:, None] + sigmas[None, :] * cdf.sum(-1)) * w).sum(axis=1)
 
 
-def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray,
+def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray, w: np.ndarray,
                      memo: _LogCdfColumns | None = None) -> np.ndarray:
     """Gradient of the smoothed max: entry i is P-like weight of coordinate i.
 
-    Returns shape (b, t, n).  Entry i equals the Gaussian integral of
-    prod_{j != i} Phi(y + (x_i - x_j)/sigma) against the standard normal
-    density, so entries are nonnegative and sum to one.  The log-CDF
+    Returns the sum over the sigmas with weights w, shape (b, n).  Entry i
+    equals the Gaussian integral of prod_{j != i} Phi(y + (x_i - x_j)/sigma)
+    against the standard normal density, so entries are nonnegative and sum
+    to one.  The log-CDF
     depends on x_i - x_j only, so it is evaluated once per distinct
     difference (once per handle given its memo and whole-number
     differences) and gathered into the (b, t, y, n, n) tensor that the sums
@@ -333,7 +343,7 @@ def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray,
     s -= _LOG_NDTR_YG[:, None]
     np.exp(s, out=s)
     s *= _YG_PDF_W[:, None]
-    return s.sum(axis=2)
+    return (s.sum(axis=2) * w[:, None]).sum(axis=1)
 
 
 def _log_cdf_columns(diffs: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
@@ -413,62 +423,100 @@ def _rank_coeffs(n: int) -> np.ndarray:
     return 1.0 / (ell * (ell + 1.0))
 
 
-def _max_value_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Closed-form ranked potential for every row of X and every sigma; (b, t)."""
+def _distinct_gaps(gaps: np.ndarray, sigmas: np.ndarray):
+    """Distinct rows of gaps, bit for bit, and the index of each row's.
+
+    A lexsort of the rows' bits and a compare of neighbours find them.  At
+    a single sigma the sort costs more than the evaluations it saves, so
+    there, as with fewer than two rows, every row stands for itself.
+    """
+    b = gaps.shape[0]
+    if sigmas.size == 1 or b < 2:
+        return gaps, np.arange(b)
+    bits = gaps.view(np.int64)
+    order = np.lexsort(bits.T)
+    runs = bits[order]
+    first = np.empty(b, dtype=bool)
+    first[0] = True
+    np.any(runs[1:] != runs[:-1], axis=1, out=first[1:])
+    inverse = np.empty(b, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return gaps[order[first]], inverse
+
+
+def _max_value_batch(X: np.ndarray, sigmas: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """Closed-form ranked potential for every row of X, summed over the
+    sigmas with weights w; (b,).
+
+    The ranked sum depends on a row only through its gaps, so it is
+    evaluated once per distinct gap tuple and gathered before the mean of
+    the row is added.
+    """
     _, gaps = _ranked(X)
+    gaps, inv = _distinct_gaps(gaps, sigmas)
     coeff = _rank_coeffs(X.shape[1])
     z = gaps[:, None, :] / sigmas[None, :, None]
     sig_f = (_SQRT_2_PI * sigmas[None, :, None] * np.exp(-0.5 * z * z)
              + gaps[:, None, :] * special.erf(z / _SQRT2))
-    return X.mean(axis=1)[:, None] + (coeff * sig_f).sum(axis=-1)
+    vals = X.mean(axis=1)[:, None] + (coeff * sig_f).sum(axis=-1)[inv]
+    return (vals * w).sum(axis=1)
 
 
-def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Gradient of the ranked potential, unsorted back to input order; (b, t, n).
+def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+    """Gradient of the ranked potential summed over the sigmas with weights
+    w, unsorted back to input order; (b, n).
 
     In ranked position k (1-based) the derivative is
     1/n + sum_{l >= k} erf(z_l / sqrt 2)/(l(l+1)) - erf(z_{k-1}/sqrt 2)/k,
     the last term only for k >= 2.  Entries are nonnegative and sum to one.
+    The ranked weights depend on a row only through its gaps, so they are
+    evaluated and summed over time once per distinct gap tuple, then
+    gathered and unsorted; the time sum adds the same terms in the same
+    order in every position, so unsorting after it moves no bit.
     """
-    b, n = X.shape
-    t = len(sigmas)
+    n = X.shape[1]
     order, gaps = _ranked(X)
+    gaps, inv = _distinct_gaps(gaps, sigmas)
     coeff = _rank_coeffs(n)
     z = gaps[:, None, :] / sigmas[None, :, None]
     e = special.erf(z / _SQRT2)
     tail = np.cumsum((coeff * e)[..., ::-1], axis=-1)[..., ::-1]
-    g = np.full((b, t, n), 1.0 / n)
+    g = np.full((gaps.shape[0], sigmas.size, n), 1.0 / n)
     g[..., :-1] += tail
     g[..., 1:] -= e / np.arange(2, n + 1)
-    inv = np.argsort(order, axis=-1)
-    return np.take_along_axis(g, inv[:, None, :], axis=-1)
+    ranked = (g * w[:, None]).sum(axis=1)[inv]
+    return np.take_along_axis(ranked, np.argsort(order, axis=-1), axis=-1)
 
 
 # doubles one row keeps live per sigma, given n: for heat values its CDF
 # columns (at most n - 1 new differences a row), the running product and
-# one gathered operand; copies of the heat weights' largest tensor; the
-# max kernels' (t, n) temporaries (all as tracemalloc sees them)
+# one gathered operand; copies of the heat weights' largest tensor; for
+# the max kernels, 4n (values) and 5n (weights), above the 4(n - 1) and
+# 5n - 3 seen on rows that share no gap tuple (all as tracemalloc sees
+# them)
 _ROW_DOUBLES = {
     _heat_value_batch: lambda n: (n + 1) * _U_NODES.size,
     _heat_grad_batch: lambda n: _HEAT_LIVE * _YG_NODES.size * n * n,
-    _max_value_batch: lambda n: _MAX_LIVE * n,
-    _max_grad_batch: lambda n: _MAX_LIVE * n,
+    _max_value_batch: lambda n: 4 * n,
+    _max_grad_batch: lambda n: 5 * n,
 }
 
 
 def _time_sum(kernel, X, sigmas, w, *args):
-    """sum_i w[i] * kernel(X, sigmas, *args)[:, i], evaluated in blocks of rows.
+    """kernel(X, sigmas, w, *args), evaluated in blocks of rows.
 
-    ``w`` holds one weight per sigma, shaped to broadcast against a row of
-    the kernel's output.  A block holds at most _CHUNK_BUDGET doubles as
-    _ROW_DOUBLES counts them.  Rows are computed independently, so the
-    blocking changes no bit of the result.
+    Every kernel returns sum_i w[i] * (its fixed-time result at sigmas[i])
+    per row.  A block holds at most _CHUNK_BUDGET doubles as _ROW_DOUBLES
+    counts them.  Rows are computed independently, so the blocking changes
+    no bit of the result.
     """
     per_row = sigmas.size * _ROW_DOUBLES[kernel](X.shape[1])
     step = max(1, _CHUNK_BUDGET // per_row)
     if X.shape[0] <= step:
-        return (kernel(X, sigmas, *args) * w).sum(axis=1)
-    return np.concatenate([(kernel(X[lo:lo + step], sigmas, *args) * w).sum(1)
+        return kernel(X, sigmas, w, *args)
+    return np.concatenate([kernel(X[lo:lo + step], sigmas, w, *args)
                            for lo in range(0, X.shape[0], step)])
 
 
@@ -488,7 +536,7 @@ def _geometric_value(X, handle, kernel):
 def _geometric_gradient(X, handle, kernel, *args):
     t, w = exp_time_nodes(handle.delta, order=_GRAD_TIME_ORDER)
     sigmas = np.sqrt(2.0 * handle.kappa * (-t))
-    return clip_simplex(_time_sum(kernel, X, sigmas, w[:, None], *args))
+    return clip_simplex(_time_sum(kernel, X, sigmas, w, *args))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geostop import oracle
+from geostop.bounds import estimate_error_constants, max_bounds
 from geostop.oracle import (
     _transition_tables,
     adversary_sandwich,
@@ -210,6 +212,45 @@ def test_pinned_outputs(role, kind, n, radius, want):
     got = (lvf.sweeps, lvf.residual, lvf.fixed_point_gap) \
         + lvf.bracket([0] * (n - 1))
     assert got == want
+
+
+# Every bit of both runs of `oracle --n 4 --delta 0.05 --radius 30` for the
+# max adversary, the exp player and the max player: sweeps and the SHA-256
+# of lower and upper.  The max player's exits carry the error term that
+# `--errors estimated` gives at the default seed.
+_PINNED_N4 = {
+    ("adversary", "max"): (
+        372, "a876e9eab4617dee15970e821a1675a2f5fc663e8427d879848aba65b3046cfe",
+        "ec052e6d313909438b99a901bf9269acca8064b1469cc0a858598565f0ed9e39"),
+    ("player", "exp"): (
+        382, "f77d9adb61a944be3f5c3f7037b6a2f8c0ec2662a4398491787b37221a0d556a",
+        "f43818220c5b28ba8ac8aaf17ca47018c98b234062f45610080fc22c3e9499b1"),
+    ("player", "max"): (
+        317, "6f621d34ea8588444000120880006720243c1985e00c5e34214a11e433d13be5",
+        "e6c4b7793b5ceebd4efdf51bff13050ca7453a0b41450c0aa346ec0c3ae82a6e"),
+}
+_MAX_UPPER_ERROR_N4 = 0.9115363240315796
+
+
+@pytest.mark.parametrize("role, kind", list(_PINNED_N4),
+                         ids=[f"{r}-{k}" for r, k in _PINNED_N4])
+def test_pinned_lattice_n4_runs(role, kind):
+    n, delta, radius = 4, 0.05, 30
+    if role == "adversary":
+        lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
+                                        radius)
+    else:
+        err = _MAX_UPPER_ERROR_N4 if kind == "max" else 0.0
+        lvf = value_iteration_player(make_player(kind, n, delta), n, delta,
+                                     radius, error_term=err)
+    got = (lvf.sweeps, hashlib.sha256(lvf.lower.tobytes()).hexdigest(),
+           hashlib.sha256(lvf.upper.tobytes()).hexdigest())
+    assert got == _PINNED_N4[role, kind]
+
+
+def test_the_pinned_error_term_is_the_estimated_one():
+    constants = estimate_error_constants(4, 0.05, seed=0)
+    assert max_bounds(4, 0.05, constants)[1].error_term == _MAX_UPPER_ERROR_N4
 
 
 def test_project_state_random_targets_land_in_domain():

@@ -47,7 +47,7 @@ def _fixed_gradient(kernel, x, t, kappa):
     """Fixed-time weights of one state at sigma = sqrt(2 kappa |t|), renormalized."""
     sigma = np.array([math.sqrt(2.0 * kappa * -t)])
     X = np.asarray(x, dtype=float)[None, :]
-    return clip_simplex(kernel(X, sigma)[:, 0, :])[0]
+    return clip_simplex(kernel(X, sigma, np.ones(1)))[0]
 
 
 def test_kappa_s_values():
@@ -339,7 +339,7 @@ def test_lean_weight_rule_tracks_the_full_rule():
     # or weights drift.
     rng = np.random.default_rng(77)
     xs = rng.normal(size=(50, 3)) * 4.0
-    np.testing.assert_allclose(_heat_grad_batch(xs, np.array([1.7]))[:, 0, :],
+    np.testing.assert_allclose(_heat_grad_batch(xs, np.array([1.7]), np.ones(1)),
                                _heat_weights_full_rule(xs, 1.7), atol=1e-7)
 
 
@@ -393,6 +393,19 @@ def test_pinned_heat_values_at_eight_and_ten_experts(key):
     h = _FACTORIES[name](int(n), float(delta))
     got = h.value_batch(_pinned_states(int(n))).tolist()
     assert got == _PINNED_HEAT_VALUES[key]
+
+
+_PINNED_MAX = json.loads(
+    (Path(__file__).parent / "data" / "pinned_max_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_MAX))
+def test_pinned_max_outputs_at_eight_and_ten_experts(key):
+    name, n, delta = key.split("/")
+    h = _FACTORIES[name](int(n), float(delta))
+    X = _pinned_states(int(n))
+    assert h.value_batch(X).tolist() == _PINNED_MAX[key]["value"]
+    assert h.gradient_batch(X).tolist() == _PINNED_MAX[key]["gradient"]
 
 
 def _direct_heat_value(X, sigmas):
@@ -483,6 +496,70 @@ def test_deduplicated_heat_values_match_the_direct_formula(n, monkeypatch):
         for kind, X in rows.items():
             want = (_direct_heat_value(X, sigma) * np.ones(1)).sum(axis=1)
             assert np.array_equal(h.fixed_value_batch(X, -0.3), want), kind
+
+
+def _direct_max_value(X, sigmas):
+    """The max value kernel without its dedupe: the ranked formula per row."""
+    _, gaps = potentials._ranked(X)
+    coeff = potentials._rank_coeffs(X.shape[1])
+    z = gaps[:, None, :] / sigmas[None, :, None]
+    sig_f = (potentials._SQRT_2_PI * sigmas[None, :, None] * np.exp(-0.5 * z * z)
+             + gaps[:, None, :] * special.erf(z / potentials._SQRT2))
+    return X.mean(axis=1)[:, None] + (coeff * sig_f).sum(axis=-1)
+
+
+def _direct_max_grad(X, sigmas):
+    """The max weight kernel without its dedupe: (b, t, n), unsorted per row
+    before the time sum."""
+    b, n = X.shape
+    order, gaps = potentials._ranked(X)
+    coeff = potentials._rank_coeffs(n)
+    z = gaps[:, None, :] / sigmas[None, :, None]
+    e = special.erf(z / potentials._SQRT2)
+    tail = np.cumsum((coeff * e)[..., ::-1], axis=-1)[..., ::-1]
+    g = np.full((b, sigmas.size, n), 1.0 / n)
+    g[..., :-1] += tail
+    g[..., 1:] -= e / np.arange(2, n + 1)
+    inv = np.argsort(order, axis=-1)
+    return np.take_along_axis(g, inv[:, None, :], axis=-1)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_deduplicated_max_kernels_match_the_direct_formula(n):
+    rng = np.random.default_rng(200 + n)
+    lattice = 2.0 * rng.integers(-5, 6, size=(300, n))
+    lattice[:, -1] = 0.0
+    real = rng.normal(size=(64, n)) * 5.0
+    ties = np.round(real[:16])
+    ties[:, 1] = ties[:, 0]
+    ties[8:, 2 % n] = ties[8:, 0]
+    perms = np.array([rng.permutation(row) for row in np.repeat(real[:6], 4, 0)])
+    nudged = real[:8].copy()
+    nudged[:, 0] += 1e-13  # gap tuples that differ in their last bits only
+    rows = {"lattice": lattice, "real": real, "ties": ties,
+            "duplicates": np.repeat(real[:8], 3, axis=0), "permutations": perms,
+            "near duplicates": np.vstack([real[:8], nudged]),
+            "signed zeros": np.array([[0.0] * n, [-0.0] * n]),
+            "single": real[:1], "empty": real[:0]}
+    t, w = exp_time_nodes(0.05)
+    tg, wg = exp_time_nodes(0.05, order=potentials._GRAD_TIME_ORDER)
+    for factory in (max_lower_handle, max_upper_handle):
+        h = factory(n, 0.05)
+        shift = -h.shift_constant if h.side == "lower" else h.shift_constant
+        sigmas = np.sqrt(2.0 * h.kappa * (-t))
+        sigmas_g = np.sqrt(2.0 * h.kappa * (-tg))
+        sigma = np.array([math.sqrt(2.0 * h.kappa * 0.3)])
+        for kind, X in rows.items():
+            want = (_direct_max_value(X, sigmas) * w).sum(axis=1) + shift
+            assert np.array_equal(h.value_batch(X), want), kind
+            want = (_direct_max_value(X, sigma) * np.ones(1)).sum(axis=1)
+            assert np.array_equal(h.fixed_value_batch(X, -0.3), want), kind
+            want = clip_simplex((_direct_max_grad(X, sigmas_g)
+                                 * wg[:, None]).sum(axis=1))
+            assert np.array_equal(h.gradient_batch(X), want), kind
+            if factory is max_upper_handle:  # the max player's handle
+                weights = make_player("max", n, 0.05).weights_batch(X)
+                assert np.array_equal(weights, want), kind
 
 
 def test_only_whole_number_differences_enter_the_weight_memo(monkeypatch):
@@ -580,6 +657,28 @@ def test_heat_blocks_stay_inside_the_budget(monkeypatch):
         for X in (np.round(real), real):
             for evaluate in (make_player("heat", n, 0.01).weights_batch,
                              heat_upper_handle(n, 0.01).value_batch):
+                tracemalloc.start()
+                try:
+                    evaluate(X)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1.25 * 8 * budget, (n, evaluate, peak / 2**20)
+
+
+def test_max_blocks_stay_inside_the_budget(monkeypatch):
+    # real rows share no gap tuple, so every row of a block is evaluated;
+    # lattice rows share most of theirs
+    budget = 2_000_000
+    monkeypatch.setattr(potentials, "_CHUNK_BUDGET", budget)
+    rng = np.random.default_rng(18)
+    for n in (2, 3, 5):
+        real = rng.normal(size=(3000, n)) * 10.0
+        lattice = 2.0 * np.round(real / 4.0)
+        lattice -= lattice[:, -1:]
+        for X in (lattice, real):
+            for evaluate in (make_player("max", n, 0.01).weights_batch,
+                             max_upper_handle(n, 0.01).value_batch):
                 tracemalloc.start()
                 try:
                     evaluate(X)
