@@ -58,6 +58,12 @@ class ErrorConstants:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0, mode="user_supplied")
 
 
+# the constants each report's error term reads
+_ERROR_FIELDS = {("heat", "lower"): ("k3_heat_lower", "k4_heat_lower"),
+                 ("heat", "upper"): ("k3_heat_upper",),
+                 ("max", "lower"): ("k3_max_lower",),
+                 ("max", "upper"): ("k3_max_upper",)}
+
 # states and times of the estimation grid
 _GRID_STATES = 20
 _GRID_TIMES = 7
@@ -134,16 +140,19 @@ def estimate_error_constants(n: int, delta: float,
     supports for the lower families and from the sign cube for the upper
     families; past the heat support's limit on n it raises ValueError at once.
     """
+    return ErrorConstants(**_scan_constants(n, delta, seed))
+
+
+def _scan_constants(n: int, delta: float, seed: int,
+                    names=None) -> dict[str, float]:
+    """The named fields (all five by default) of
+    estimate_error_constants(n, delta, seed), running only their scans; the
+    grid and directions are drawn as for all five."""
     heat_qs = np.array([q for q in heat_adversary_support(n)
                         if tuple(q) >= tuple(-q)])
     rng = np.random.default_rng(seed + 1)
     xs, ts = _estimation_grid(n, delta, seed)
     cube_qs = _cube_directions(n, rng)
-
-    heat_lo = heat_lower_handle(n, delta)
-    heat_hi = heat_upper_handle(n, delta)
-    max_lo = max_lower_handle(n, delta)
-    max_hi = max_upper_handle(n, delta)
 
     leader_qs = []
     for x in xs:
@@ -152,13 +161,25 @@ def estimate_error_constants(n: int, delta: float,
         leader_qs.append(q)
     leader_qs = np.array(list({tuple(q) for q in leader_qs}))
 
-    return ErrorConstants(
-        k3_heat_lower=_directional_scan(heat_lo, xs, ts, heat_qs, 3),
-        k4_heat_lower=_directional_scan(heat_lo, xs, ts, heat_qs, 4),
-        k3_heat_upper=_directional_scan(heat_hi, xs, ts, cube_qs, 3),
-        k3_max_lower=_directional_scan(max_lo, xs, ts, leader_qs, 3),
-        k3_max_upper=_directional_scan(max_hi, xs, ts, cube_qs, 3),
-    )
+    scans = {
+        "k3_heat_lower": (heat_lower_handle, heat_qs, 3),
+        "k4_heat_lower": (heat_lower_handle, heat_qs, 4),
+        "k3_heat_upper": (heat_upper_handle, cube_qs, 3),
+        "k3_max_lower": (max_lower_handle, leader_qs, 3),
+        "k3_max_upper": (max_upper_handle, cube_qs, 3),
+    }
+    return {name: _directional_scan(scans[name][0](n, delta), xs, ts,
+                                    scans[name][1], scans[name][2])
+            for name in names or scans}
+
+
+def _estimated_error_term(family: str, side: str, n: int, delta: float,
+                          seed: int) -> float:
+    """The error term of one heat or max report at estimated constants, as
+    estimate_error_constants(n, delta, seed) gives it, running only the
+    scans that term reads."""
+    constants = _scan_constants(n, delta, seed, _ERROR_FIELDS[family, side])
+    return float(_error_term(family, side, float(delta), constants))
 
 
 REPORT_FIELDS = ("family", "side", "n", "delta", "potential0", "error",
@@ -206,6 +227,16 @@ def _fourth_order_error(delta: float, k4: float) -> float:
     return (1.0 - delta) / (24.0 * delta) * k4 * laplace_inv32_integral(delta)
 
 
+def _error_term(family: str, side: str, delta: float, constants) -> float:
+    """Error term of one heat or max report from its constants, a mapping
+    by ErrorConstants field name.  The heat lower report takes the smaller
+    of the third-order and the symmetric fourth-order error."""
+    if (family, side) == ("heat", "lower"):
+        return min(_third_order_error(delta, constants["k3_heat_lower"]),
+                   _fourth_order_error(delta, constants["k4_heat_lower"]))
+    return _third_order_error(delta, constants[f"k3_{family}_{side}"])
+
+
 def exp_weights_bound(n: int, delta: float) -> BoundReport:
     """Exact upper bound sqrt(2 (1-delta) log n / delta); no error term."""
     delta = check_stopping_rate(delta)
@@ -227,10 +258,9 @@ def heat_bounds(n: int, delta: float,
     emax = gaussian_max_expectation(n)
     half_pi_term = math.exp(d) * 0.5 * math.sqrt(math.pi) * special.erfc(rd)
     lo_pot = math.sqrt(2.0 * kappa_s(n, d)) * emax * half_pi_term
-    lo_err = min(_third_order_error(d, errors.k3_heat_lower),
-                 _fourth_order_error(d, errors.k4_heat_lower))
+    lo_err = _error_term("heat", "lower", d, vars(errors))
     hi_pot = math.sqrt(2.0 * (1.0 - d) / d) * emax * (half_pi_term + 2.0 * rd)
-    hi_err = _third_order_error(d, errors.k3_heat_upper)
+    hi_err = _error_term("heat", "upper", d, vars(errors))
     return (_report("heat", "lower", int(n), d, lo_pot, lo_err, errors.mode),
             _report("heat", "upper", int(n), d, hi_pot, hi_err, errors.mode))
 
@@ -248,10 +278,10 @@ def max_bounds(n: int, delta: float,
     frac = (n - 1) / n
     erfc_term = math.exp(d) * special.erfc(rd)
     lo_pot = frac * math.sqrt(2.0 * (1.0 - d) / d) * erfc_term
-    lo_err = _third_order_error(d, errors.k3_max_lower)
+    lo_err = _error_term("max", "lower", d, vars(errors))
     hi_pot = frac * math.sqrt(kappa_m(n, d)) * (
         erfc_term + 4.0 / math.sqrt(math.pi) * rd)
-    hi_err = _third_order_error(d, errors.k3_max_upper)
+    hi_err = _error_term("max", "upper", d, vars(errors))
     return (_report("max", "lower", int(n), d, lo_pot, lo_err, errors.mode),
             _report("max", "upper", int(n), d, hi_pot, hi_err, errors.mode))
 

@@ -27,7 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import (ErrorConstants, REPORT_FIELDS, comparison_curves,
+from .bounds import (ErrorConstants, REPORT_FIELDS, _error_term,
+                     _estimated_error_term, comparison_curves,
                      estimate_error_constants, exp_weights_bound, heat_bounds,
                      max_bounds)
 from .game import _check_tol
@@ -315,19 +316,18 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_FAMILY_BOUNDS = {"heat": heat_bounds, "max": max_bounds}
 _ADVERSARY_HANDLES = {"heat": heat_lower_handle, "max": max_lower_handle}
 
 
-def _oracle_error(args, kind: str, side: int):
-    """Error term of one bound report and its mode, as --errors selects."""
+def _oracle_error(args, kind: str, side: str):
+    """Error term of one bound report and its mode, as --errors selects; an
+    estimate runs only the scans that term reads."""
     if args.errors == "estimated":
-        constants = estimate_error_constants(args.n, args.delta,
-                                             seed=args.seed)
-    else:
-        constants = ErrorConstants.zero()
-    reports = _FAMILY_BOUNDS[kind](args.n, args.delta, constants)
-    return reports[side].error_term, constants.mode
+        # ErrorConstants.mode defaults to the mode of estimated constants
+        return (_estimated_error_term(kind, side, args.n, args.delta,
+                                      seed=args.seed), ErrorConstants.mode)
+    constants = ErrorConstants.zero()
+    return _error_term(kind, side, args.delta, vars(constants)), constants.mode
 
 
 def cmd_oracle(args) -> int:
@@ -342,7 +342,7 @@ def cmd_oracle(args) -> int:
         handle = _ADVERSARY_HANDLES[kind](n, delta)
         lvf = value_iteration_adversary(make_adversary(kind, n), n, delta,
                                         radius, tol)
-        err, mode = _oracle_error(args, kind, 0)
+        err, mode = _oracle_error(args, kind, "lower")
         report = adversary_sandwich(lvf, handle, err, mode, tol)
     else:
         kind = args.player
@@ -350,7 +350,7 @@ def cmd_oracle(args) -> int:
         if kind == "exp":
             err, mode = 0.0, "exact"
         else:
-            err, mode = _oracle_error(args, kind, 1)
+            err, mode = _oracle_error(args, kind, "upper")
         lvf = value_iteration_player(player, n, delta, radius, tol,
                                      error_term=err)
         report = player_sandwich(lvf, player.handle, err, mode, tol)

@@ -34,13 +34,14 @@ a call, and every value keeps its bits.
 A heat weight multiplies log-CDF terms log Phi(y + (x_i - x_j)/sigma) that
 depend on a state only through its pairwise differences, and the states a
 game visits share few of them.  Each heat handle therefore keeps a memo of
-these terms, one column over the (sigma, y) nodes per difference, filled
-as gradient_batch meets new whole-number differences (those of the
-lattice states that simulate and oracle pass) and bounded by _CHUNK_BUDGET
-doubles; a call with any other difference computes its columns for
-itself.  The memo lives and dies with its handle; the columns are
-computed with the same arithmetic as the entries they replace and summed
-in the same order, so every weight keeps its bits.
+these terms, one row over the (y, sigma) nodes per difference, filled as
+gradient_batch meets new whole-number differences (those of the lattice
+states that simulate and oracle pass) and bounded by _CHUNK_BUDGET
+doubles; a call with any other difference computes its rows for itself.
+The memo lives and dies with its handle.  The rows are computed with the
+same arithmetic as the entries of the direct formula, and a weight adds
+its n rows whole, in the order numpy sums a last axis of length n, so no
+reduction runs over a short inner axis and every weight keeps its bits.
 
 A max value or weight depends on a state only through its ranked gaps, and
 the lattice states of oracle share few gap tuples (816 among the 14,911
@@ -95,9 +96,6 @@ _GRAD_TIME_ORDER = 6
 # Kernels run on blocks of rows sized so that the temporaries _ROW_DOUBLES
 # counts hold at most this many doubles (~128 MB).
 _CHUNK_BUDGET = 16_000_000
-# copies of its largest tensor the heat weight kernel keeps alive at once:
-# the arguments, their log_ndtr, and the weighted product
-_HEAT_LIVE = 3
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +175,10 @@ class PotentialHandle:
     kappa: float | None = None
     eta: float | None = None
     shift_constant: float = 0.0
-    # a heat handle's log-CDF columns, one per whole-number pairwise
+    # a heat handle's log-CDF rows, one per whole-number pairwise
     # difference met
-    _log_cdf: _LogCdfColumns | None = field(init=False, repr=False,
-                                            compare=False)
+    _log_cdf: _LogCdfRows | None = field(init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         if self.family not in ("exp_weights", "heat", "max"):
@@ -201,7 +199,7 @@ class PotentialHandle:
                 raise ValueError("n must be at least 2")
         if self.shift_constant < 0:
             raise ValueError("shift constant must be nonnegative")
-        memo = _LogCdfColumns() if self.family == "heat" else None
+        memo = _LogCdfRows() if self.family == "heat" else None
         object.__setattr__(self, "_log_cdf", memo)
 
     def value(self, x) -> float:
@@ -315,61 +313,111 @@ def _heat_value_batch(X: np.ndarray, sigmas: np.ndarray,
 
 
 def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray, w: np.ndarray,
-                     memo: _LogCdfColumns | None = None) -> np.ndarray:
+                     memo: _LogCdfRows | None = None) -> np.ndarray:
     """Gradient of the smoothed max: entry i is P-like weight of coordinate i.
 
     Returns the sum over the sigmas with weights w, shape (b, n).  Entry i
     equals the Gaussian integral of prod_{j != i} Phi(y + (x_i - x_j)/sigma)
     against the standard normal density, so entries are nonnegative and sum
-    to one.  The log-CDF
-    depends on x_i - x_j only, so it is evaluated once per distinct
-    difference (once per handle given its memo and whole-number
-    differences) and gathered into the (b, t, y, n, n) tensor that the sums
-    reduce.
+    to one.  The log-CDF depends on x_i - x_j only, so it is evaluated once
+    per distinct difference (once per handle given its memo and
+    whole-number differences), as one (y, t) row per difference.  For each
+    i the n rows of its terms are gathered one at a time and added as whole
+    rows in the order numpy sums a last axis of length n; the sums over y
+    and then t follow as whole (b, y, t) and (b, t, n) reductions over a
+    middle axis, left to right.
     """
     b, n = X.shape
+    if b == 0:  # np.take cannot gather into out from an empty table
+        return np.zeros((0, n))
     diffs, inv = np.unique(X[:, :, None] - X[:, None, :], return_inverse=True)
     # only whole-number differences, those of lattice states, recur across
-    # calls; a call with any other difference computes all its columns
+    # calls; a call with any other difference computes all its rows
     if memo is None or not np.array_equal(diffs, np.floor(diffs)):
-        table, cols = _log_cdf_columns(diffs, sigmas), inv.reshape(b, n * n)
+        rows, slots = _log_cdf_rows(diffs, sigmas), inv.reshape(b, n * n)
     else:
-        table, slots = memo.lookup(diffs, sigmas)
-        cols = slots[inv.reshape(b, n * n)]
-    logcdf = np.empty((b, table.shape[0], n * n))
-    for r in range(b):
-        np.take(table, cols[r], axis=1, out=logcdf[r], mode="clip")
-    s = logcdf.reshape(b, sigmas.size, _YG_NODES.size, n, n).sum(axis=-1)
-    s -= _LOG_NDTR_YG[:, None]
-    np.exp(s, out=s)
-    s *= _YG_PDF_W[:, None]
-    return (s.sum(axis=2) * w[:, None]).sum(axis=1)
+        rows, slots = memo.lookup(diffs, sigmas)
+        slots = slots[inv.reshape(b, n * n)]
+    # the row of term k = i * n + j for every state, contiguous
+    term_rows = slots.T.copy()
+
+    def fetch(k, out):
+        np.take(rows, term_rows[k], axis=0, out=out, mode="clip")
+
+    per_t = np.empty((b, sigmas.size, n))
+    acc = np.empty((b, rows.shape[1]))
+    for i in range(n):
+        s = _sum_like_numpy(fetch, i * n, n, acc).reshape(b, _YG_NODES.size, -1)
+        s -= _LOG_NDTR_YG[:, None]
+        np.exp(s, out=s)
+        s *= _YG_PDF_W[:, None]
+        per_t[:, :, i] = s.sum(axis=1)
+    return (per_t * w[:, None]).sum(axis=1)
 
 
-def _log_cdf_columns(diffs: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """log_ndtr(y + d/sigma) over the (sigma, y) nodes, one column per d:
-    shape (t * y, m), the arithmetic of one entry of the gradient tensor."""
-    z = diffs[None, :] / sigmas[:, None]
+def _sum_like_numpy(fetch, lo: int, n: int, out: np.ndarray) -> np.ndarray:
+    """The terms lo, ..., lo + n - 1 added into out in the order in which
+    numpy sums a contiguous last axis of length n, so with the bits of that
+    sum (a sum of -0.0 terms alone may give -0.0 where numpy gives +0.0).
+
+    fetch(k, buf) writes term k to buf.  Below 8 terms numpy adds left to
+    right; up to 128 in eight lanes that it then adds pairwise, followed by
+    the remainder left to right; above that it sums two halves, the first
+    a multiple of eight long, and adds them.
+    """
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        rest = _sum_like_numpy(fetch, lo + half, n - half, np.empty_like(out))
+        _sum_like_numpy(fetch, lo, half, out)
+        out += rest
+        return out
+    term = np.empty_like(out)
+    fetch(lo, out)
+    if n < 8:
+        for k in range(lo + 1, lo + n):
+            fetch(k, term)
+            out += term
+        return out
+    lanes = [out] + [np.empty_like(out) for _ in range(7)]
+    for k in range(1, 8):
+        fetch(lo + k, lanes[k])
+    stop = lo + n - n % 8
+    for k in range(lo + 8, stop):
+        fetch(k, term)
+        lanes[(k - lo) % 8] += term
+    for step in (1, 2, 4):
+        for k in range(0, 8, 2 * step):
+            lanes[k] += lanes[k + step]
+    for k in range(stop, lo + n):
+        fetch(k, term)
+        out += term
+    return out
+
+
+def _log_cdf_rows(diffs: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """log_ndtr(y + d/sigma) over the (y, t) nodes, y-major, one row per d:
+    shape (m, y * t), with the arithmetic of the direct formula's entries."""
+    z = diffs[:, None] / sigmas[None, :]
     args = _YG_NODES[None, :, None] + z[:, None, :]
-    rows = sigmas.size * _YG_NODES.size
-    return special.log_ndtr(args).reshape(rows, diffs.size)
+    return special.log_ndtr(args, out=args).reshape(diffs.size,
+                                                    _YG_NODES.size * sigmas.size)
 
 
-class _LogCdfColumns:
-    """A heat handle's log-CDF columns, keyed by pairwise difference.
+class _LogCdfRows:
+    """A heat handle's log-CDF rows, keyed by pairwise difference.
 
-    The columns belong to the handle's gradient sigmas and sit side by side
-    in one (t * y, capacity) table of at most _CHUNK_BUDGET doubles; past
-    that, a call computes all its columns for itself.  New columns are
-    computed and written with the lock held, past the columns any reader
-    may hold; the table grows by replacement, and a difference enters the
-    index only after its column is written, so a table read after the
-    index holds every column the index named.
+    The rows belong to the handle's gradient sigmas and sit one above the
+    other in one (capacity, y * t) table of at most _CHUNK_BUDGET doubles;
+    past that, a call computes all its rows for itself.  New rows are
+    computed and written with the lock held, after the rows any reader may
+    hold; the table grows by replacement, and a difference enters the
+    index only after its row is written, so a table read after the index
+    holds every row the index named.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._index = {}  # difference -> column of the table
+        self._index = {}  # difference -> row of the table
         self._table = np.zeros((0, 0))
 
     def _slots(self, diffs: np.ndarray) -> np.ndarray:
@@ -377,31 +425,31 @@ class _LogCdfColumns:
                            dtype=np.int64, count=diffs.size)
 
     def lookup(self, diffs: np.ndarray, sigmas: np.ndarray):
-        """A table and the column that holds each of the distinct diffs."""
+        """A table and the row that holds each of the distinct diffs."""
         slots = self._slots(diffs)
         if slots.min(initial=0) >= 0:
             return self._table, slots
-        rows = sigmas.size * _YG_NODES.size
+        width = sigmas.size * _YG_NODES.size
         with self._lock:
             slots = self._slots(diffs)
             miss = slots < 0
             first = len(self._index)
             stop = first + int(miss.sum())
-            if stop * rows <= _CHUNK_BUDGET:
+            if stop * width <= _CHUNK_BUDGET:
                 table = self._table
-                if stop > table.shape[1]:
-                    size = min(max(stop, 2 * table.shape[1]),
-                               _CHUNK_BUDGET // rows)
-                    table = np.empty((rows, size))
+                if stop > table.shape[0]:
+                    size = min(max(stop, 2 * table.shape[0]),
+                               _CHUNK_BUDGET // width)
+                    table = np.empty((size, width))
                     if first:
-                        table[:, :first] = self._table[:, :first]
-                table[:, first:stop] = _log_cdf_columns(diffs[miss], sigmas)
+                        table[:first] = self._table[:first]
+                table[first:stop] = _log_cdf_rows(diffs[miss], sigmas)
                 self._table = table
                 slots[miss] = np.arange(first, stop)
                 self._index.update(zip(diffs[miss].tolist(), range(first, stop)))
                 return table, slots
-        # the memo is full: this call computes its own columns
-        return _log_cdf_columns(diffs, sigmas), np.arange(diffs.size)
+        # the memo is full: this call computes its own rows
+        return _log_cdf_rows(diffs, sigmas), np.arange(diffs.size)
 
 
 def _ranked(X: np.ndarray):
@@ -492,13 +540,16 @@ def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray,
 
 # doubles one row keeps live per sigma, given n: for heat values its CDF
 # columns (at most n - 1 new differences a row), the running product and
-# one gathered operand; copies of the heat weights' largest tensor; for
+# one gathered operand; for heat weights its log-CDF rows (at most n * n
+# new differences a row), the running sum and one gathered term, and from
+# n = 8 seven more lanes of the sum, above the n * n - n + 2 and
+# n * n - n + 9 rows of y nodes seen on rows that share no difference; for
 # the max kernels, 4n (values) and 5n (weights), above the 4(n - 1) and
 # 5n - 3 seen on rows that share no gap tuple (all as tracemalloc sees
 # them)
 _ROW_DOUBLES = {
     _heat_value_batch: lambda n: (n + 1) * _U_NODES.size,
-    _heat_grad_batch: lambda n: _HEAT_LIVE * _YG_NODES.size * n * n,
+    _heat_grad_batch: lambda n: (n * n + (2 if n < 8 else 9)) * _YG_NODES.size,
     _max_value_batch: lambda n: 4 * n,
     _max_grad_batch: lambda n: 5 * n,
 }

@@ -160,6 +160,31 @@ def test_error_constants_evaluate_once_per_scan_and_grid_time(monkeypatch):
         assert len(calls) == 35, n
 
 
+def test_one_report_runs_only_the_scans_its_error_term_reads(monkeypatch):
+    # the oracle reads the error term of one report; the grid and the
+    # directions are drawn as for all five constants, so it keeps its bits
+    scans = []
+    scan = bounds._directional_scan
+
+    def counted(handle, xs, ts, qs, order):
+        scans.append((handle.family, handle.side, order))
+        return scan(handle, xs, ts, qs, order)
+
+    monkeypatch.setattr(bounds, "_directional_scan", counted)
+    n, delta, seed = 4, 0.05, 0
+    constants = estimate_error_constants(n, delta, seed=seed)
+    for report in heat_bounds(n, delta, constants) + max_bounds(n, delta,
+                                                                constants):
+        scans.clear()
+        got = bounds._estimated_error_term(report.family, report.side, n,
+                                           delta, seed=seed)
+        assert got == report.error_term, report
+        want = [(report.family, report.side, 3)]
+        if (report.family, report.side) == ("heat", "lower"):
+            want.append(("heat", "lower", 4))
+        assert scans == want, report
+
+
 def test_scan_blocks_leave_every_bit_alone(monkeypatch):
     # a tiny budget splits every scan into blocks of three or four stencils
     monkeypatch.setattr(bounds, "_SCAN_POINTS", 50)

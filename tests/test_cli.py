@@ -225,6 +225,7 @@ def test_oversized_lattice_is_refused_before_any_estimate(monkeypatch, capsys,
         raise AssertionError("error constants were estimated")
 
     monkeypatch.setattr("geostop.cli.estimate_error_constants", no_estimate)
+    monkeypatch.setattr("geostop.cli._estimated_error_term", no_estimate)
     rc = main(["oracle", "--n", "9", "--delta", "0.1", "--radius", "60",
                "--player", player])
     assert rc == 2
@@ -236,6 +237,7 @@ def test_bad_tolerance_is_refused_before_any_estimate(monkeypatch, capsys):
         raise AssertionError("error constants were estimated")
 
     monkeypatch.setattr("geostop.cli.estimate_error_constants", no_estimate)
+    monkeypatch.setattr("geostop.cli._estimated_error_term", no_estimate)
     rc = main(["oracle", "--n", "3", "--delta", "0.1", "--radius", "20",
                "--player", "max", "--tol", "nan"])
     assert rc == 2

@@ -477,6 +477,32 @@ def test_memoized_heat_weights_match_the_direct_formula(n, monkeypatch):
             assert np.array_equal(one_by_one, want), kind
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
+def test_heat_weights_match_the_direct_formula_on_the_full_time_rule(n):
+    # either side of the lengths 8 and 16 at which numpy's sum of the n
+    # log-CDF terms takes its eight lanes and its first full round of them
+    rng = np.random.default_rng(300 + n)
+    real = rng.normal(size=(2, n)) * 5.0
+    for factory in (heat_lower_handle, heat_upper_handle):
+        for kind, X in (("integer", np.round(real)), ("real", real)):
+            want = _direct_gradient(factory(n, 0.05), X)
+            h = factory(n, 0.05)
+            assert np.array_equal(h.gradient_batch(X), want), kind  # cold
+            assert np.array_equal(h.gradient_batch(X), want), kind  # warm
+
+
+def test_whole_row_sums_add_in_numpy_order():
+    # numpy sums a contiguous last axis left to right below length 8, in
+    # eight lanes up to 128 and in halves above; the weight kernel adds its
+    # log-CDF terms as whole rows in that order
+    rng = np.random.default_rng(31)
+    for length in range(1, 301):
+        A = rng.normal(size=(5, length)) * 10.0 ** rng.uniform(-3, 3, (5, length))
+        fetch = lambda k, out: np.copyto(out, A[:, k - 3])
+        got = potentials._sum_like_numpy(fetch, 3, length, np.empty(5))
+        assert np.array_equal(got, A.sum(axis=-1)), length
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_deduplicated_heat_values_match_the_direct_formula(n, monkeypatch):
     monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
@@ -600,10 +626,13 @@ def test_a_full_memo_keeps_its_bound_and_every_bit(monkeypatch):
         assert memo._table.size <= budget
 
 
-def test_threads_share_one_memo(monkeypatch):
-    monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
+def test_threads_share_one_memo():
     rng = np.random.default_rng(9)
-    batches = [np.round(rng.normal(size=(6, 4)) * 6.0) for _ in range(32)]
+    # each batch twice in a row, on the full time rule: a worker often
+    # finds, once it holds the lock, that another has just written every
+    # row it missed
+    batches = [X for X in np.round(rng.normal(size=(16, 6, 4)) * 6.0)
+               for _ in range(2)]
     want = [_direct_gradient(heat_upper_handle(4, 0.05), X) for X in batches]
     h = heat_upper_handle(4, 0.05)
     interval = sys.getswitchinterval()
@@ -615,16 +644,16 @@ def test_threads_share_one_memo(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # every difference met holds one column of its own, computed afresh
+    # every difference met holds one row of its own, computed afresh
     memo = h._log_cdf
     diffs = np.unique([X[:, :, None] - X[:, None, :] for X in batches])
     assert sorted(memo._index) == diffs.tolist()
     assert sorted(memo._index.values()) == list(range(diffs.size))
-    t, _ = _three_time_nodes(0.05, order=potentials._GRAD_TIME_ORDER)
+    t, _ = exp_time_nodes(0.05, order=potentials._GRAD_TIME_ORDER)
     sigmas = np.sqrt(2.0 * h.kappa * (-t))
-    cols = [memo._index[d] for d in diffs.tolist()]
-    assert np.array_equal(memo._table[:, cols],
-                          potentials._log_cdf_columns(diffs, sigmas))
+    rows = [memo._index[d] for d in diffs.tolist()]
+    assert np.array_equal(memo._table[rows],
+                          potentials._log_cdf_rows(diffs, sigmas))
 
 
 def test_row_blocks_leave_every_bit_alone(monkeypatch):
@@ -652,7 +681,7 @@ def test_heat_blocks_stay_inside_the_budget(monkeypatch):
     budget = 2_000_000
     monkeypatch.setattr(potentials, "_CHUNK_BUDGET", budget)
     rng = np.random.default_rng(8)
-    for n in (2, 3):
+    for n in (2, 3, 8):  # from n = 8 a weight sums its terms in eight lanes
         real = rng.normal(size=(100, n)) * 10.0
         for X in (np.round(real), real):
             for evaluate in (make_player("heat", n, 0.01).weights_batch,
