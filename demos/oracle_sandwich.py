@@ -1,12 +1,13 @@
 """Squeeze the exact game value between the potential bounds.
 
-Value iteration on the even integer lattice of regret gaps computes, to
-certified precision, what a fixed adversary forces from a best-response
-player and what a fixed player concedes to a vertex-restricted best
-response.  The potentials then have to bracket those numbers on the
-interior of the truncation window: adversary value above the lower
-potential minus its error, player value below the upper potential plus
-its error, and the two oracle runs in the right order state by state.
+Dynamic programming on the even integer lattice of regret gaps computes,
+to certified precision, what a fixed adversary forces from a best-response
+player (by value iteration) and what a fixed player concedes to a
+vertex-restricted best response (by policy iteration).  The potentials
+then have to bracket those numbers on the interior of the truncation
+window: adversary value above the lower potential minus its error, player
+value below the upper potential plus its error, and the two oracle runs
+in the right order state by state.
 
 This is the same machinery behind `geostop oracle` and the end-to-end
 tests, run here at a small radius so it finishes in seconds.
@@ -60,7 +61,7 @@ print(f"adversary oracle at the origin: [{lo0:.6f}, {hi0:.6f}] "
       f"after {adv.sweeps} sweeps")
 lo0, hi0 = ply.bracket([0] * (N - 1))
 print(f"player oracle at the origin:    [{lo0:.6f}, {hi0:.6f}] "
-      f"after {ply.sweeps} sweeps")
+      f"after {ply.sweeps} policy-iteration sweeps")
 
 x0 = np.zeros(N)
 print(f"heat lower potential at 0:      {lower.value(x0):.6f} "

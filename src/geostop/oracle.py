@@ -25,14 +25,15 @@ The engine does no per-state Python work.  States are indexed by a
 mixed-radix integer key whose order is their lexicographic order, so the
 transition tables come from batched projections of the (state, outcome)
 targets, about a million at a time, and a ``searchsorted`` over the keys.
-Both roles sweep (outcomes, states) tables in one loop, v <- delta*g +
-(1-delta)*R(v), and differ only in the continuation R: a gather, then an
-expectation over axis 0, which adds up to 7 outcomes in the order of a
-per-state sum (wider heat supports, from n = 5, round differently in the
-last bits), or a max over axis 0, where exits of the optimistic run gather
-from potential values stored past the end of the value vector.  Lattices
-whose tables would exceed 10^7 entries (states times the 2^n vertex
-outcomes) are refused before anything is allocated.
+Both roles solve v = delta*g + (1-delta)*R(v) over (outcomes, states)
+tables.  The adversary sweeps both runs in one loop, R an expectation over
+axis 0 that adds up to 7 outcomes in the order of a per-state sum (wider
+heat supports, from n = 5, round differently in the last bits).  Against
+the player R is a max over axis 0, solved by Howard policy iteration:
+with one outcome fixed per state the recursion is linear on a functional
+graph (optimistic exits lead to a sink), which path doubling solves in
+O(log(1/delta)) gathers.  Tables over 10^7 entries (states times the 2^n
+vertex outcomes) are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -47,7 +48,11 @@ from .game import _check_tol, check_stopping_rate
 from .potentials import PotentialHandle
 from .strategies import AdversaryStrategy, PlayerStrategy
 
-_MAX_SWEEPS = 2_000_000
+# sweeps without a new least update that show a run stuck at the rounding
+# floor; also the most rounds policy iteration may take
+_STALL_SWEEPS = 100
+_FLOOR = ("rounding keeps the fixed-point gap at {:.2e}, above tol={:g}: "
+          "tol is below the rounding floor")
 # transition-table entries (states x 2^n vertex outcomes) a lattice may need
 _MAX_TABLE_ENTRIES = 10**7
 # (state, outcome) targets projected per batch when building the tables
@@ -136,15 +141,16 @@ def project_state(d: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
 class LatticeValueFunction:
     """Bracketed values on the truncated lattice.
 
-    lower/upper are the last iterates of the pessimistic and optimistic
-    runs, whose exact fixed points bracket the untruncated value at each
-    state; residual is the final sup-norm update of the iteration and
-    fixed_point_gap the implied distance from lower/upper to those fixed
-    points, so a bracket is certified only once widened by fixed_point_gap
-    on each side (at n=2, delta=0.2, radius 120 and the default tol, the
-    exact value lies 2.2e-9 above upper).  role
-    names the fixed side: "adversary" for value_iteration_adversary,
-    "player" for value_iteration_player.
+    lower/upper are the pessimistic and optimistic runs' results, whose
+    exact fixed points bracket the untruncated value at each state.
+    fixed_point_gap = ((1-delta)/delta)*residual, residual being the last
+    Bellman sweep's sup-norm update, bounds the distance to those fixed
+    points, so a bracket is certified only once widened by it on each side.
+    role names the fixed side.  For "adversary" sweeps counts sweeps of both
+    runs until the gap fell to tol (at n=2, delta=0.2, radius 120 and the
+    default tol, the exact value lies 2.2e-9 above upper).  For "player" it
+    adds the Bellman sweeps of the two policy iterations, the last of each
+    certifying its policy, and the gap sits at the rounding floor.
     """
 
     role: str
@@ -226,28 +232,69 @@ def _setup(n: int, delta: float, radius: int, tol: float):
     return states, _full_rows(states)
 
 
-def _solve(role, states, delta, radius, tol, lower,
-           upper) -> LatticeValueFunction:
-    """Sweep both runs of v <- delta*g + (1-delta)*R(v) to accuracy tol.
+def _solve(states, delta, radius, tol, lower, upper) -> LatticeValueFunction:
+    """Sweep both adversary runs of v <- delta*g + (1-delta)*R(v) to tol.
 
     ``lower`` and ``upper`` give R(v), the continuation of the pessimistic
-    and the optimistic run; g is the score max(d, 0) of each state.  The
-    role only labels the result.
+    and the optimistic run; g is the score max(d, 0) of each state.
     """
     g = np.maximum(states.max(axis=1), 0).astype(float)
     stop = delta * g
     factor = (1.0 - delta) / delta if delta < 1.0 else 0.0
     v_lo, v_hi = g.copy(), g.copy()
-    for sweeps in range(1, _MAX_SWEEPS + 1):
+    least, least_at = np.inf, 0
+    for sweeps in itertools.count(1):
         new_lo = stop + (1.0 - delta) * lower(v_lo)
         new_hi = stop + (1.0 - delta) * upper(v_hi)
         diff = max(np.max(np.abs(new_lo - v_lo)), np.max(np.abs(new_hi - v_hi)))
         v_lo, v_hi = new_lo, new_hi
         if factor * diff <= tol or diff == 0.0:
-            return LatticeValueFunction(role, states.shape[1] + 1, delta,
-                                        radius, states, v_lo, v_hi, diff,
-                                        factor * diff, sweeps)
-    raise RuntimeError("value iteration failed to converge")
+            return LatticeValueFunction("adversary", states.shape[1] + 1,
+                                        delta, radius, states, v_lo, v_hi,
+                                        diff, factor * diff, sweeps)
+        # a contraction's update falls every sweep until rounding stops it
+        if diff < least:
+            least, least_at = diff, sweeps
+        elif sweeps - least_at >= _STALL_SWEEPS:
+            raise ValueError(_FLOOR.format(factor * least, tol))
+
+
+def _policy_value(stop, gamma, gain, target, policy):
+    """v = stop + gamma*(gain + v[target]) along ``policy``, plus a sink of
+    value 0, by path doubling: after j doublings v sums 2^j steps of the
+    policy's functional graph and succ jumps 2^j steps ahead."""
+    cols = np.arange(stop.size)
+    v = np.append(stop + gamma * gain[policy, cols], 0.0)
+    succ = np.append(target[policy, cols], stop.size)
+    while gamma > 1e-17:  # the rest, gamma * v[succ], is below rounding
+        v += gamma * v[succ]
+        succ = succ[succ]
+        gamma *= gamma
+    return v
+
+
+def _policy_iteration(g, delta, gain, target):
+    """Howard policy iteration for v = delta*g + (1-delta)*max_k(gain[k] +
+    v[target[k]]); targets may name the sink.  A state keeps its outcome
+    unless another gains more than a few ulps, so exact ties end the loop.
+    The sweep that leaves the policy unchanged certifies it: returns its
+    result, its sup-norm update and the number of sweeps."""
+    stop, cols = delta * g, np.arange(g.size)
+    v, policy = np.append(g, 0.0), None
+    for sweeps in range(1, _STALL_SWEEPS + 1):
+        q = v[target]
+        q += gain
+        best = q.argmax(axis=0)
+        top = q[best, cols]
+        new = stop + (1.0 - delta) * top
+        if policy is not None:
+            switch = top - q[policy, cols] > 4 * np.spacing(np.abs(top))
+            if not switch.any():
+                return new, float(np.max(np.abs(new - v[:-1]))), sweeps
+            best = np.where(switch, best, policy)
+        policy = best
+        v = _policy_value(stop, 1.0 - delta, gain, target, policy)
+    raise RuntimeError("policy iteration failed to converge")
 
 
 def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
@@ -273,8 +320,8 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
     def expectation(charge):
         return lambda v: lin + (probs[:, None] * (v[nxt] + charge)).sum(axis=0)
 
-    return _solve("adversary", states, delta, radius, tol,
-                  expectation(-dist), expectation(dist))
+    return _solve(states, delta, radius, tol, expectation(-dist),
+                  expectation(dist))
 
 
 def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
@@ -313,26 +360,19 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     si, ki = np.nonzero(dist.T > 0)
     exit_vals = player.handle.value_batch(
         _full_rows(states[si] + shifts[ki])) + error_term
-    # exiting entries read past the end of v, from the exit values
-    gather = nxt.copy()
-    gather[ki, si] = states.shape[0] + np.arange(si.size)
-    # the pessimistic run charges only the exits; x - 0.0 is x for every
-    # float, so leaving the other entries alone moves no bit
-    exits = np.flatnonzero(dist)
-    charge = dist.ravel()[exits]
-
-    def lower(v):
-        cand = v[nxt]
-        cand += lin
-        cand.ravel()[exits] -= charge
-        return cand.max(axis=0)
-
-    def upper(v):
-        cand = np.concatenate([v, exit_vals])[gather]
-        cand += lin
-        return cand.max(axis=0)
-
-    return _solve("player", states, delta, radius, tol, lower, upper)
+    g = rows.max(axis=1)
+    gain = np.subtract(lin, dist, out=dist)  # pessimistic, in place
+    lower, res_lo, sweeps_lo = _policy_iteration(g, delta, gain, nxt)
+    # optimistic exits lead to the sink and gain their exit values
+    lin[ki, si] += exit_vals
+    nxt[ki, si] = states.shape[0]
+    upper, res_hi, sweeps_hi = _policy_iteration(g, delta, lin, nxt)
+    residual = max(res_lo, res_hi)
+    gap = residual * (1.0 - delta) / delta  # players need delta < 1
+    if gap > tol:
+        raise ValueError(_FLOOR.format(gap, tol))
+    return LatticeValueFunction("player", n, delta, radius, states, lower,
+                                upper, residual, gap, sweeps_lo + sweeps_hi)
 
 
 @dataclass(frozen=True)

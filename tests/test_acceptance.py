@@ -208,6 +208,17 @@ def test_lattice_sandwich_matrix():
     assert time.monotonic() - start < 600.0
 
 
+def test_long_horizon_player_oracle_within_budget():
+    # 226,981 states at delta=0.01; its sweeps took 31 s
+    n, delta = 4, 0.01
+    player = make_player("max", n, delta)
+    start = time.monotonic()
+    lvf = value_iteration_player(player, n, delta, radius=60)
+    assert time.monotonic() - start < 10.0
+    assert lvf.states.shape[0] == 31 ** 4 - 30 ** 4
+    assert lvf.fixed_point_gap <= 1e-8
+
+
 def test_monte_carlo_regret_lands_between_the_bounds():
     start = time.monotonic()
     n, delta, trials = 3, 0.01, 100_000

@@ -211,7 +211,7 @@ def test_oracle_player_run(capsys):
     assert rc == 0
     payload = json.loads(captured.out)
     assert payload["role"] == "player" and payload["kind"] == "exp"
-    np.testing.assert_allclose(payload["value_at_origin"], 0.6088777192585593,
+    np.testing.assert_allclose(payload["value_at_origin"], 0.6088777257481774,
                                rtol=1e-9)
     assert payload["sandwich"]["error_mode"] == "exact"
     assert payload["sandwich"]["passed"] is True

@@ -1,5 +1,7 @@
 import hashlib
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -173,20 +175,20 @@ def test_transition_tables_match_the_loop(law, block, monkeypatch):
 
 
 # sweeps, residual, fixed_point_gap and the origin bracket at n=3, r=20,
-# delta=0.1, as the loop-built tables and (S, K) sweeps gave them with exits
-# read from the player's potential; any change in the order of the sweep
-# arithmetic shows up here
+# delta=0.1: the adversary's as the loop-built tables and (S, K) sweeps gave
+# them, the player's as policy iteration gives them with exits read from the
+# player's potential; any change in the order of the arithmetic shows up here
 _PINNED = {
     ("adversary", "heat"): (179, 1.0349889834060377e-09, 9.31490085065434e-09,
                             2.4228216118855586, 2.5157065942138184),
     ("adversary", "max"): (177, 1.0210445822167458e-09, 9.189401239950712e-09,
                            2.588724311910788, 2.721753941220505),
-    ("player", "exp"): (180, 1.0853291598778014e-09, 9.767962438900213e-09,
-                        3.1735874473429275, 3.218342059951989),
-    ("player", "max"): (151, 1.0938290273543316e-09, 9.844461246188985e-09,
-                        2.8911065771376565, 3.2008669779216627),
-    ("player", "heat"): (153, 1.0314771259345434e-09, 9.283294133410891e-09,
-                         3.118950212983792, 3.4759294536511645),
+    ("player", "exp"): (20, 7.105427357601002e-15, 6.394884621840902e-14,
+                        3.1735874548001815, 3.2183420599519876),
+    ("player", "max"): (6, 7.105427357601002e-15, 6.394884621840902e-14,
+                        2.8911065833984004, 3.2008669779216627),
+    ("player", "heat"): (10, 7.105427357601002e-15, 6.394884621840902e-14,
+                         3.1189502169794054, 3.4759294536511636),
 }
 # The same for the heat adversary at n=5, r=10, as the (K, S) sweeps give
 # it.  Up to n=4 an adversary law has at most 6 outcomes, which numpy sums
@@ -223,11 +225,11 @@ _PINNED_N4 = {
         372, "a876e9eab4617dee15970e821a1675a2f5fc663e8427d879848aba65b3046cfe",
         "ec052e6d313909438b99a901bf9269acca8064b1469cc0a858598565f0ed9e39"),
     ("player", "exp"): (
-        382, "f77d9adb61a944be3f5c3f7037b6a2f8c0ec2662a4398491787b37221a0d556a",
-        "f43818220c5b28ba8ac8aaf17ca47018c98b234062f45610080fc22c3e9499b1"),
+        26, "142dc8f8429195d500a8c083abeae44e083227f41ecc466be8bf0d7811fc48b6",
+        "09091b6dbe2d7418de0ad295a87068a24e53ca6448ee4bb77a971e85a16ff9d5"),
     ("player", "max"): (
-        317, "6f621d34ea8588444000120880006720243c1985e00c5e34214a11e433d13be5",
-        "e6c4b7793b5ceebd4efdf51bff13050ca7453a0b41450c0aa346ec0c3ae82a6e"),
+        18, "5d5cc1a59cf82dba3dfbe787576930006277173588c36f7382fc36a6645a0d6c",
+        "30a715d3c24f6f1e6935c44880ab7a1b769610cbc2ae3dca867fc65aca64b188"),
 }
 _MAX_UPPER_ERROR_N4 = 0.9115363240315796
 
@@ -251,6 +253,174 @@ def test_pinned_lattice_n4_runs(role, kind):
 def test_the_pinned_error_term_is_the_estimated_one():
     constants = estimate_error_constants(4, 0.05, seed=0)
     assert max_bounds(4, 0.05, constants)[1].error_term == _MAX_UPPER_ERROR_N4
+
+
+def _sweep_reference(player, n, delta, radius, error_term=0.0, tol=1e-8):
+    """The player's Jacobi sweeps from before policy iteration: both runs
+    from the score until ((1-delta)/delta) times the sup-norm update is at
+    most tol.  Returns lower, upper, that gap and the sweeps."""
+    states = build_states(n, radius)
+    rows = np.hstack([states, np.zeros_like(states[:, :1])]).astype(float)
+    outcomes = np.array(list(itertools.product((-1, 1), repeat=n)))
+    shifts = outcomes[:, -1:] - outcomes[:, :-1]
+    lin = (player.weights_batch(rows) * outcomes[:, None, :]).sum(axis=2) \
+        - outcomes[:, -1:]
+    nxt, dist = _transition_tables(states, shifts, radius)
+    si, ki = np.nonzero(dist.T > 0)
+    targets = states[si] + shifts[ki]
+    exit_vals = np.zeros(dist.shape)
+    exit_vals[ki, si] = player.handle.value_batch(np.hstack(
+        [targets, np.zeros_like(targets[:, :1])]).astype(float)) + error_term
+    exits = dist > 0
+    g = rows.max(axis=1)
+    lo, hi = g.copy(), g.copy()
+    for sweeps in itertools.count(1):
+        cand_lo = lo[nxt] + lin
+        cand_lo[exits] -= dist[exits]
+        cand_hi = np.where(exits, exit_vals, hi[nxt]) + lin
+        new_lo = delta * g + (1.0 - delta) * cand_lo.max(axis=0)
+        new_hi = delta * g + (1.0 - delta) * cand_hi.max(axis=0)
+        diff = max(np.max(np.abs(new_lo - lo)), np.max(np.abs(new_hi - hi)))
+        lo, hi = new_lo, new_hi
+        if (1.0 - delta) / delta * diff <= tol:
+            return lo, hi, (1.0 - delta) / delta * diff, sweeps
+
+
+def _sha(values):
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+# What the sweeps gave the player before policy iteration, and what
+# _sweep_reference must reproduce: sweeps and the SHA-256 of lower and upper
+# at n=3, r=20, delta=0.1 and in the lattice-n4 game, n=4, r=30, delta=0.05
+_SWEPT = {
+    ("exp", 3): (
+        180, "cace97c938dcb4feabcf745389e6d62bfd8f71ba589329d4e7e6976494087702",
+        "63ee1e8e037fbbc281bfd0629c48a456b5a60af2313cd7220201ef09defe9b93"),
+    ("max", 3): (
+        151, "250eb3945f9581f03f3210cfcf2581e83242cec61f5b77dbb7554ddd31362509",
+        "804f706f146fcc8466df77768c86328ebf32bc79aace888bf3ff5e6e6cf11605"),
+    ("heat", 3): (
+        153, "a9afea92bc36fe4be3dfb35dbe3181e9e7a6b937d77c1e9e23209634ca439bfb",
+        "e2c913c8b8bf643ebc63fc083def86fb697161d8b9d382d1875c36f42a1ed66d"),
+    ("exp", 4): (
+        382, "f77d9adb61a944be3f5c3f7037b6a2f8c0ec2662a4398491787b37221a0d556a",
+        "f43818220c5b28ba8ac8aaf17ca47018c98b234062f45610080fc22c3e9499b1"),
+    ("max", 4): (
+        317, "6f621d34ea8588444000120880006720243c1985e00c5e34214a11e433d13be5",
+        "e6c4b7793b5ceebd4efdf51bff13050ca7453a0b41450c0aa346ec0c3ae82a6e"),
+}
+
+
+@pytest.mark.parametrize("kind, n", list(_SWEPT),
+                         ids=[f"{k}-n{n}" for k, n in _SWEPT])
+def test_repinned_player_values_moved_within_the_old_gap(kind, n):
+    delta, radius = (0.1, 20) if n == 3 else (0.05, 30)
+    err = _MAX_UPPER_ERROR_N4 if (kind, n) == ("max", 4) else 0.0
+    player = make_player(kind, n, delta)
+    lo, hi, gap, sweeps = _sweep_reference(player, n, delta, radius, err)
+    assert (sweeps, _sha(lo), _sha(hi)) == _SWEPT[kind, n]
+    lvf = value_iteration_player(player, n, delta, radius, error_term=err)
+    assert np.all(np.abs(lvf.lower - lo) <= gap)
+    assert np.all(np.abs(lvf.upper - hi) <= gap)
+    assert lvf.fixed_point_gap <= 1e-11
+
+
+@pytest.mark.parametrize("err", [0.0, 0.7])
+@pytest.mark.parametrize("n, radius", [(2, 16), (3, 8), (4, 6)])
+@pytest.mark.parametrize("kind", ["exp", "max", "heat"])
+def test_policy_iteration_agrees_with_the_sweeps(kind, n, radius, err):
+    delta = 0.1
+    player = make_player(kind, n, delta)
+    lo, hi, gap, _ = _sweep_reference(player, n, delta, radius, err)
+    lvf = value_iteration_player(player, n, delta, radius, error_term=err)
+    both = gap + lvf.fixed_point_gap
+    assert np.all(np.abs(lvf.lower - lo) <= both)
+    assert np.all(np.abs(lvf.upper - hi) <= both)
+
+
+@pytest.fixture
+def player_tables(monkeypatch):
+    """The (g, delta, gain, target) tables of each policy iteration run."""
+    tables, solve = [], oracle._policy_iteration
+
+    def recording(*args):
+        tables.append([np.copy(a) for a in args])
+        return solve(*args)
+
+    monkeypatch.setattr(oracle, "_policy_iteration", recording)
+    return tables
+
+
+def test_path_doubling_matches_a_dense_solve(player_tables):
+    delta = 0.01
+    value_iteration_player(make_player("exp", 2, delta), 2, delta, radius=60)
+    pessimistic, optimistic = player_tables
+    assert np.any(optimistic[3] == optimistic[0].size)  # exits to the sink
+    rng = np.random.default_rng(5)
+    for g, _, gain, target in (pessimistic, optimistic):
+        size, cols = g.size, np.arange(g.size)
+        policy = rng.integers(gain.shape[0], size=size)
+        got = oracle._policy_value(delta * g, 1.0 - delta, gain, target,
+                                   policy)
+        step = np.zeros((size + 1, size + 1))
+        step[cols, target[policy, cols]] = 1.0
+        step[size, size] = 1.0  # the sink keeps its value 0
+        rhs = np.append(delta * g + (1.0 - delta) * gain[policy, cols], 0.0)
+        want = np.linalg.solve(np.eye(size + 1) - (1.0 - delta) * step, rhs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_ties_end_policy_iteration(player_tables):
+    lvf = value_iteration_player(make_player("max", 3, 0.1), 3, 0.1, radius=10)
+    assert lvf.sweeps <= 20
+    for g, delta, gain, target in player_tables[:2]:
+        # all -1 and all +1 leave the state in place, and their E[q_I] - q_n
+        # are -+(sum of weights - 1): tied to within a few ulps
+        np.testing.assert_array_equal(target[0], np.arange(g.size))
+        np.testing.assert_array_equal(target[-1], target[0])
+        np.testing.assert_array_equal(gain[-1], -gain[0])
+        assert np.any(gain[0] != 0.0)
+        assert np.abs(gain[0]).max() <= 4 * np.finfo(float).eps
+        # making the tie exact changes no sweep and no bit
+        full = oracle._policy_iteration(g, delta, gain, target)
+        gain[-1] = gain[0]
+        exact = oracle._policy_iteration(g, delta, gain, target)
+        np.testing.assert_array_equal(full[0], exact[0])
+        assert full[1:] == exact[1:]
+
+
+def test_a_tol_below_the_rounding_floor_fails_fast():
+    from geostop.cli import main
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="below the rounding floor"):
+        value_iteration_adversary(make_adversary("heat", 2), 2, 0.01,
+                                  radius=400, tol=1e-12)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="below the rounding floor"):
+        value_iteration_player(make_player("exp", 2, 0.01), 2, 0.01,
+                               radius=40, tol=1e-14)
+    assert main(["oracle", "--n", "2", "--delta", "0.01", "--radius", "400",
+                 "--adversary", "heat", "--tol", "1e-12"]) == 2
+
+
+@pytest.mark.parametrize("delta, tol", [(0.2, 1e-8), (0.05, 1e-8),
+                                        (0.01, 1e-8), (0.2, 1e-12)])
+def test_n2_brackets_contain_the_exact_value(delta, tol):
+    # against the n=2 heat adversary d is a +-2 walk whatever the player
+    # does, stopped at an independent geometric time
+    rho = (1.0 - math.sqrt(delta * (2.0 - delta))) / (1.0 - delta)
+    exact = 2.0 * rho / (1.0 - rho * rho)
+    widths = []
+    for radius in (40, 120, 400):
+        lvf = value_iteration_adversary(make_adversary("heat", 2), 2, delta,
+                                        radius, tol)
+        lo, hi = lvf.bracket([0])
+        assert lo - lvf.fixed_point_gap <= exact <= hi + lvf.fixed_point_gap
+        widths.append(hi - lo)
+    assert widths[0] > widths[1] >= widths[2]
+    assert widths[1] > widths[2] or widths[1] == 0.0
 
 
 def test_project_state_random_targets_land_in_domain():
@@ -321,7 +491,7 @@ def test_relabeling_identity_inside_brackets():
 
 def test_player_origin_value_frozen_and_dominated(ply_half):
     lvf, handle = ply_half
-    np.testing.assert_allclose(lvf.value_at_origin(), 0.6088777192585593,
+    np.testing.assert_allclose(lvf.value_at_origin(), 0.6088777257481774,
                                rtol=1e-9)
     bound0 = handle.value([0.0, 0.0])
     np.testing.assert_allclose(bound0, 1.1774100225154747, rtol=1e-9)
