@@ -8,7 +8,7 @@ with zero error terms (what the limiting constants promise) printed
 next to the error-inflated certified versions.
 
 Each trial owns its own seeded stream, so the numbers below reproduce
-exactly for a given --seed regardless of --threads.
+exactly for a given --seed.
 
 Run:  python3 demos/simulate_sandwich.py --trials 20000
 """
@@ -26,15 +26,14 @@ from geostop import (
 )
 
 
-def matchup(kind: str, n: int, delta: float, trials: int, seed: int,
-            threads: int | None):
+def matchup(kind: str, n: int, delta: float, trials: int, seed: int):
     cfg = SimulationConfig(
         n=n, delta=delta,
         player=make_player(kind, n, delta),
         adversary=make_adversary(kind, n),
         trials=trials, seed=seed,
     )
-    return run(cfg, threads=threads)
+    return run(cfg)
 
 
 def main() -> int:
@@ -44,8 +43,6 @@ def main() -> int:
     ap.add_argument("--delta", type=float, default=0.01)
     ap.add_argument("--trials", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker threads (capped by GEOSTOP_THREADS)")
     args = ap.parse_args()
 
     zero = ErrorConstants.zero()
@@ -57,8 +54,7 @@ def main() -> int:
     ok = True
     for kind, bounds in families.items():
         lo, hi = bounds(args.n, args.delta, zero)
-        res = matchup(kind, args.n, args.delta, args.trials, args.seed,
-                      args.threads)
+        res = matchup(kind, args.n, args.delta, args.trials, args.seed)
         inside = (lo.bound - 3 * res.std_error <= res.mean_regret
                   <= hi.bound + 3 * res.std_error)
         ok = ok and inside

@@ -299,7 +299,7 @@ def cmd_simulate(args) -> int:
         adversary=make_adversary(args.adversary, args.n),
         trials=args.trials, seed=args.seed,
         max_rounds_cap=args.max_rounds_cap)
-    result = run(cfg, threads=args.threads, collect_outcomes=args.outcomes)
+    result = run(cfg, collect_outcomes=args.outcomes)
     payload = {
         "n": cfg.n, "delta": cfg.delta, "player": args.player,
         "adversary": args.adversary, "trials": cfg.trials, "seed": cfg.seed,
@@ -459,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--player", choices=PLAYER_KINDS, default="heat")
     p.add_argument("--adversary", choices=ADVERSARY_KINDS, default="heat")
     p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--threads", type=int,
-                   help="worker threads (capped by GEOSTOP_THREADS)")
     p.add_argument("--max-rounds-cap", type=int)
     _add_switch(p, "--outcomes", "also report per-coordinate outcome means")
     _add_common(p, "also write the JSON on stdout to this path")

@@ -34,8 +34,12 @@ def clip_simplex(p) -> np.ndarray:
         )
     p = np.maximum(p, 0.0)
     s = p.sum(axis=-1, keepdims=True)
-    if np.any(np.abs(s - 1.0) > 1e-6):
-        raise ValueError("weights must already sum to one up to round-off")
+    off = np.abs(s - 1.0)
+    if np.any(off > 1e-6):
+        worst = float(s.flat[np.argmax(off)])
+        raise ValueError("weights must already sum to one up to round-off: "
+                         f"the worst row sums to {worst!r}, beyond the 1e-6 "
+                         "tolerance")
     return p / s
 
 

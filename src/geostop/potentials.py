@@ -57,7 +57,6 @@ bits.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -408,48 +407,38 @@ class _LogCdfRows:
 
     The rows belong to the handle's gradient sigmas and sit one above the
     other in one (capacity, y * t) table of at most _CHUNK_BUDGET doubles;
-    past that, a call computes all its rows for itself.  New rows are
-    computed and written with the lock held, after the rows any reader may
-    hold; the table grows by replacement, and a difference enters the
-    index only after its row is written, so a table read after the index
-    holds every row the index named.
+    past that, a call computes all its rows for itself.  The table grows by
+    replacement.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._index = {}  # difference -> row of the table
         self._table = np.zeros((0, 0))
 
-    def _slots(self, diffs: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(self._index.get, diffs.tolist(), repeat(-1)),
-                           dtype=np.int64, count=diffs.size)
-
     def lookup(self, diffs: np.ndarray, sigmas: np.ndarray):
         """A table and the row that holds each of the distinct diffs."""
-        slots = self._slots(diffs)
-        if slots.min(initial=0) >= 0:
+        slots = np.fromiter(map(self._index.get, diffs.tolist(), repeat(-1)),
+                            dtype=np.int64, count=diffs.size)
+        miss = slots < 0
+        if not miss.any():
             return self._table, slots
         width = sigmas.size * _YG_NODES.size
-        with self._lock:
-            slots = self._slots(diffs)
-            miss = slots < 0
-            first = len(self._index)
-            stop = first + int(miss.sum())
-            if stop * width <= _CHUNK_BUDGET:
-                table = self._table
-                if stop > table.shape[0]:
-                    size = min(max(stop, 2 * table.shape[0]),
-                               _CHUNK_BUDGET // width)
-                    table = np.empty((size, width))
-                    if first:
-                        table[:first] = self._table[:first]
-                table[first:stop] = _log_cdf_rows(diffs[miss], sigmas)
-                self._table = table
-                slots[miss] = np.arange(first, stop)
-                self._index.update(zip(diffs[miss].tolist(), range(first, stop)))
-                return table, slots
-        # the memo is full: this call computes its own rows
-        return _log_cdf_rows(diffs, sigmas), np.arange(diffs.size)
+        first = len(self._index)
+        stop = first + int(miss.sum())
+        if stop * width > _CHUNK_BUDGET:
+            # the memo is full: this call computes its own rows
+            return _log_cdf_rows(diffs, sigmas), np.arange(diffs.size)
+        if stop > self._table.shape[0]:
+            size = min(max(stop, 2 * self._table.shape[0]),
+                       _CHUNK_BUDGET // width)
+            table = np.empty((size, width))
+            if first:
+                table[:first] = self._table[:first]
+            self._table = table
+        self._table[first:stop] = _log_cdf_rows(diffs[miss], sigmas)
+        slots[miss] = np.arange(first, stop)
+        self._index.update(zip(diffs[miss].tolist(), range(first, stop)))
+        return self._table, slots
 
 
 def _ranked(X: np.ndarray):

@@ -6,9 +6,9 @@ config always reproduces bit for bit.  Within a trial the draws are
 consumed in a fixed order: one uniform for the horizon, then per round one
 uniform for the adversary outcome followed by one for the followed expert.
 
-Trials walk a state graph that one ``run`` shares across its chunks and
-threads: its nodes are the reduced states x - x_n met so far, and its edges
-the moves (outcome, followed expert) taken from them, each computed once.
+Trials walk a state graph that one ``run`` shares across its chunks: its
+nodes are the reduced states x - x_n met so far, and its edges the moves
+(outcome, followed expert) taken from them, each computed once.
 A round is then two draws, one dict lookup per trial and gathers.  This
 relies on two facts about the adversary laws, which the lattice oracle
 relies on too: a law depends only on the reduced state, and it has K
@@ -21,9 +21,6 @@ must match bit for bit.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -34,18 +31,6 @@ from .strategies import AdversaryStrategy, PlayerStrategy
 
 _SEED_MASK = (1 << 64) - 1
 _TRIALS_PER_CHUNK = 2048
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Worker count: the request (or 1) capped by the GEOSTOP_THREADS variable."""
-    if requested is not None and requested < 1:
-        raise ValueError(f"threads must be at least 1, got {requested}")
-    env = os.environ.get("GEOSTOP_THREADS")
-    cap = int(env) if env else None
-    count = requested if requested is not None else (cap or 1)
-    if cap is not None:
-        count = min(count, cap)
-    return max(count, 1)
 
 
 @dataclass(frozen=True)
@@ -161,10 +146,7 @@ class _StateGraph:
     (node*K + k)*n + i and holds its destination node, the change in x_n
     and, when outcomes are collected, the outcome row.  The adversary's K
     outcome probabilities are shared by all states, so they are read once.
-    Arrays only grow, by replacement; every mutation holds the lock and the
-    kernels run outside it, and a code enters the edge dict only after its
-    rows are written, so the arrays a reader holds always contain the rows
-    it has seen filled.
+    Arrays only grow, by replacement.
     """
 
     def __init__(self, player: PlayerStrategy, adversary: AdversaryStrategy,
@@ -174,7 +156,6 @@ class _StateGraph:
         _, probs = adversary.outcomes_batch(np.zeros((1, n)))
         self.cum_probs = np.cumsum(probs)[None, :]
         self.outcome_count = len(probs)
-        self._lock = threading.Lock()
         self._index = {bytes(n * 8): 0}
         self.states = np.zeros((64, n), dtype=np.int64)
         self.cum_weights = np.zeros((64, n))
@@ -192,16 +173,15 @@ class _StateGraph:
             fresh = np.unique(need)
             fresh = fresh[np.lexsort(self.states[fresh].T[::-1])]
             w = self.player.weights_batch(self.states[fresh].astype(float))
-            cum = np.cumsum(w, axis=1)
-            with self._lock:
-                self.cum_weights[fresh] = cum
-                self.weighted[fresh] = True
+            self.cum_weights[fresh] = np.cumsum(w, axis=1)
+            self.weighted[fresh] = True
         return self.cum_weights[nodes]
 
     def step(self, nodes: np.ndarray, k: np.ndarray, i: np.ndarray):
         """Destination, change in x_n and outcome row (or None) per move."""
         codes = (nodes * self.outcome_count + k) * self.n + i
-        e = self._edge_of(codes)
+        e = np.fromiter(map(self._edges.get, codes.tolist(), repeat(-1)),
+                        dtype=np.int64, count=len(codes))
         miss = e < 0
         if miss.any():
             fresh, at = np.unique(codes[miss], return_inverse=True)
@@ -210,7 +190,7 @@ class _StateGraph:
                 None if self.outcome is None else self.outcome[e])
 
     def _add_edges(self, codes: np.ndarray) -> np.ndarray:
-        """The edge of each of the distinct codes, adding the missing ones."""
+        """New edges for the distinct codes, none of which has one yet."""
         n = self.n
         i = codes % n
         k = codes // n % self.outcome_count
@@ -221,32 +201,24 @@ class _StateGraph:
         x = self.states[src] + q[rows, i][:, None] - q
         shift = x[:, -1].copy()
         x -= shift[:, None]
-        with self._lock:
-            e = self._edge_of(codes)
-            new = e < 0
-            first = len(self._edges)
-            stop = first + int(new.sum())
-            e[new] = np.arange(first, stop)
-            if stop > len(self.dest):
-                size = max(stop, 2 * len(self.dest))
-                self.dest = _grown(self.dest, size)
-                self.shift = _grown(self.shift, size)
-                if self.outcome is not None:
-                    self.outcome = _grown(self.outcome, size)
-            self.dest[first:stop] = self._nodes(x[new])
-            self.shift[first:stop] = shift[new]
+        first = len(self._edges)
+        stop = first + len(codes)
+        if stop > len(self.dest):
+            size = max(stop, 2 * len(self.dest))
+            self.dest = _grown(self.dest, size)
+            self.shift = _grown(self.shift, size)
             if self.outcome is not None:
-                self.outcome[first:stop] = q[new]
-            self._edges.update(zip(codes[new].tolist(), e[new].tolist()))
+                self.outcome = _grown(self.outcome, size)
+        self.dest[first:stop] = self._nodes(x)
+        self.shift[first:stop] = shift
+        if self.outcome is not None:
+            self.outcome[first:stop] = q
+        e = np.arange(first, stop)
+        self._edges.update(zip(codes.tolist(), e.tolist()))
         return e
 
-    def _edge_of(self, codes: np.ndarray) -> np.ndarray:
-        """The edge of each code, or -1 where it has none yet."""
-        return np.fromiter(map(self._edges.get, codes.tolist(), repeat(-1)),
-                           dtype=np.int64, count=len(codes))
-
     def _nodes(self, states: np.ndarray) -> np.ndarray:
-        """The node of each reduced state, added if new; call with the lock held."""
+        """The node of each reduced state, added if new."""
         index, known = self._index, len(self._index)
         keys = states.view(f"V{states.itemsize * self.n}").ravel().tolist()
         nodes = np.array([index.setdefault(key, len(index)) for key in keys],
@@ -302,15 +274,12 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
     return regrets, rounds, truncated, (q_sum, q_sq_sum, n_outcomes)
 
 
-def run(cfg: SimulationConfig, threads: int | None = None,
-        collect_outcomes: bool = False) -> SimulationResult:
-    """Run all trials; identical output for identical configs, any thread count."""
-    workers = thread_count(threads)
+def run(cfg: SimulationConfig, collect_outcomes: bool = False) -> SimulationResult:
+    """Run all trials; identical output for identical configs."""
     graph = _StateGraph(cfg.player, cfg.adversary, collect_outcomes)
-    spans = [(s, min(s + _TRIALS_PER_CHUNK, cfg.trials))
-             for s in range(0, cfg.trials, _TRIALS_PER_CHUNK)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outs = list(pool.map(lambda s: _run_chunk(cfg, *s, graph), spans))
+    # chunks bound the (2 t_max, trials) table of uniforms
+    outs = [_run_chunk(cfg, s, min(s + _TRIALS_PER_CHUNK, cfg.trials), graph)
+            for s in range(0, cfg.trials, _TRIALS_PER_CHUNK)]
 
     regrets = np.concatenate([out[0] for out in outs])
     rounds = np.concatenate([out[1] for out in outs])

@@ -47,8 +47,8 @@ def test_parser_lists_all_commands():
     ["verify", "--n", "3", "--delta", "0.1", "--samples", "0"],
     ["verify", "--suite", "lower", "--n", "1", "--delta", "0.1",
      "--samples", "5"],
-    ["simulate", "--n", "3", "--delta", "0.1", "--threads", "0"],
-    ["simulate", "--n", "3", "--delta", "0.1", "--threads", "-3"],
+    ["simulate", "--n", "3", "--delta", "0.1", "--threads", "2"],  # no such flag
+    ["simulate", "--n", "3", "--delta", "0.1", "--max-rounds-cap", "0"],
     # tolerances under which every comparison passes or none converges
     ["oracle", "--n", "3", "--delta", "0.01", "--radius", "40",
      "--adversary", "max", "--errors", "zero", "--tol", "nan"],
@@ -77,8 +77,8 @@ def test_usage_errors_exit_2(argv, capsys):
       "--samples", "5"], "n must be at least 2, got 1"),
     (["verify", "--n", "3", "--delta", "0.1", "--samples", "0"],
      "samples must be at least 1, got 0"),
-    (["simulate", "--n", "3", "--delta", "0.1", "--threads", "-3"],
-     "threads must be at least 1, got -3"),
+    (["simulate", "--n", "3", "--delta", "0.1", "--trials", "0"],
+     "trials must be positive"),
     (["oracle", "--n", "3", "--delta", "0.01", "--radius", "40",
       "--adversary", "max", "--errors", "zero", "--tol", "nan"],
      "tol must be a finite number at least 0, got nan"),

@@ -1,7 +1,9 @@
-"""The README's quick start runs and its library section names the
-package exports; the demos' imports from geostop resolve and the oracle
-demo runs; every export has a caller outside the tests."""
+"""The README's quick start runs, its library section names the package
+exports and its command-line section names only real options; the demos'
+imports from geostop resolve and the oracle and simulation demos run;
+every export has a caller outside the tests."""
 
+import argparse
 import ast
 import os
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import geostop
+from geostop import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -43,11 +46,27 @@ def test_oracle_demo_runs_clean():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    demo = ROOT / "demos" / "oracle_sandwich.py"
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert "VIOLATIONS" not in proc.stdout
+    for demo, args in (("oracle_sandwich.py", []),
+                       ("simulate_sandwich.py", ["--trials", "2000"])):
+        proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo), *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, (demo, proc.stderr)
+        assert "VIOLATIONS" not in proc.stdout, demo
+
+
+def test_readme_command_line_flags_are_options():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Command line"):text.index("## Demos")]
+    # `--key=value` stands for any option
+    flags = set(re.findall(r"--[a-z][a-z0-9-]*",
+                           section.replace("--key=value", "")))
+    parser = cli.build_parser()
+    subs = next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+    options = {flag for sub in [parser, *subs.choices.values()]
+               for flag in sub._option_string_actions}
+    assert flags and flags <= options, sorted(flags - options)
 
 
 def test_readme_library_section_names_the_exports():

@@ -15,6 +15,10 @@ def test_clip_simplex_rejects_real_negatives():
         clip_simplex(np.array([0.6, 0.5, -0.1]))
     with pytest.raises(ValueError):
         clip_simplex(np.array([0.3, 0.3]))  # sums to 0.6, not round-off
+    rows = np.array([[0.25, 0.75], [0.3, 0.3], [0.5, 0.52]])
+    with pytest.raises(ValueError, match=r"round-off: the worst row sums to "
+                                         r"0\.6, beyond the 1e-6 tolerance"):
+        clip_simplex(rows)
 
 
 def test_clip_simplex_batch_rows():

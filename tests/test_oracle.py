@@ -409,15 +409,25 @@ def test_a_tol_below_the_rounding_floor_fails_fast():
                                         (0.01, 1e-8), (0.2, 1e-12)])
 def test_n2_brackets_contain_the_exact_value(delta, tol):
     # against the n=2 heat adversary d is a +-2 walk whatever the player
-    # does, stopped at an independent geometric time
+    # does, stopped at an independent geometric time, so d_T - d = 2K with
+    # P(K = k) = c rho^|k|, c = (1-rho)/(1+rho), and x_2 is a martingale:
+    # V(d) = sum_k c rho^|k| max(d + 2k, 0)
+    #      = max(d, 0) + 2 rho^(|d|/2 + 1) / (1 - rho^2)
+    # at every even d; the brackets widened by the gap hold it everywhere
+    # (unwidened they miss by up to 2.4e-9)
     rho = (1.0 - math.sqrt(delta * (2.0 - delta))) / (1.0 - delta)
-    exact = 2.0 * rho / (1.0 - rho * rho)
     widths = []
     for radius in (40, 120, 400):
         lvf = value_iteration_adversary(make_adversary("heat", 2), 2, delta,
                                         radius, tol)
+        d = lvf.states[:, 0]
+        assert d.size == radius + 1 and not np.any(d % 2)
+        exact = (np.maximum(d, 0)
+                 + 2.0 * rho ** (np.abs(d) // 2 + 1) / (1.0 - rho * rho))
+        gap = lvf.fixed_point_gap
+        assert np.all(lvf.lower - gap <= exact), radius
+        assert np.all(exact <= lvf.upper + gap), radius
         lo, hi = lvf.bracket([0])
-        assert lo - lvf.fixed_point_gap <= exact <= hi + lvf.fixed_point_gap
         widths.append(hi - lo)
     assert widths[0] > widths[1] >= widths[2]
     assert widths[1] > widths[2] or widths[1] == 0.0

@@ -1,8 +1,6 @@
 import json
 import math
-import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -458,6 +456,20 @@ def _three_time_nodes(delta, order=12):
     return t[pick], w[pick] / w[pick].sum()
 
 
+def _assert_one_memo_row_per_difference(h, X):
+    """Each difference of X's rows holds one row of h's memo, computed
+    afresh by _log_cdf_rows."""
+    memo = h._log_cdf
+    diffs = np.unique(X[:, :, None] - X[:, None, :])
+    assert sorted(memo._index) == diffs.tolist()
+    assert sorted(memo._index.values()) == list(range(diffs.size))
+    t, _ = potentials.exp_time_nodes(h.delta, order=potentials._GRAD_TIME_ORDER)
+    sigmas = np.sqrt(2.0 * h.kappa * (-t))
+    rows = [memo._index[d] for d in diffs.tolist()]
+    assert np.array_equal(memo._table[rows],
+                          potentials._log_cdf_rows(diffs, sigmas))
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_memoized_heat_weights_match_the_direct_formula(n, monkeypatch):
     monkeypatch.setattr(potentials, "exp_time_nodes", _three_time_nodes)
@@ -473,8 +485,13 @@ def test_memoized_heat_weights_match_the_direct_formula(n, monkeypatch):
             assert np.array_equal(h.gradient_batch(X), want), kind  # warm
             assert np.array_equal(factory(n, 0.05).gradient_batch(X), want), kind
             fresh = factory(n, 0.05)
-            one_by_one = np.array([fresh.gradient_batch(x[None, :])[0] for x in X])
-            assert np.array_equal(one_by_one, want), kind
+            for _ in range(2):  # each row cold, then warm
+                one_by_one = np.array([fresh.gradient_batch(x[None, :])[0]
+                                       for x in X])
+                assert np.array_equal(one_by_one, want), kind
+            if kind == "integer":
+                _assert_one_memo_row_per_difference(h, X)
+                _assert_one_memo_row_per_difference(fresh, X)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 16, 17])
@@ -489,6 +506,14 @@ def test_heat_weights_match_the_direct_formula_on_the_full_time_rule(n):
             h = factory(n, 0.05)
             assert np.array_equal(h.gradient_batch(X), want), kind  # cold
             assert np.array_equal(h.gradient_batch(X), want), kind  # warm
+
+
+@pytest.mark.xfail(raises=ValueError, strict=True,
+                   reason="ROADMAP item 4: from n = 16 the 48-node weight rule's "
+                          "weights at a tie sum past clip_simplex's 1e-6 tolerance")
+def test_heat_weights_at_sixteen_tied_experts():
+    weights = heat_upper_handle(16, 0.01).gradient(np.zeros(16))
+    np.testing.assert_allclose(weights, np.full(16, 1.0 / 16.0), rtol=1e-12)
 
 
 def test_whole_row_sums_add_in_numpy_order():
@@ -624,36 +649,6 @@ def test_a_full_memo_keeps_its_bound_and_every_bit(monkeypatch):
                               want)
         assert 0 < len(memo._index) <= 10
         assert memo._table.size <= budget
-
-
-def test_threads_share_one_memo():
-    rng = np.random.default_rng(9)
-    # each batch twice in a row, on the full time rule: a worker often
-    # finds, once it holds the lock, that another has just written every
-    # row it missed
-    batches = [X for X in np.round(rng.normal(size=(16, 6, 4)) * 6.0)
-               for _ in range(2)]
-    want = [_direct_gradient(heat_upper_handle(4, 0.05), X) for X in batches]
-    h = heat_upper_handle(4, 0.05)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            futures = [pool.submit(h.gradient_batch, X) for X in batches]
-            got = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # every difference met holds one row of its own, computed afresh
-    memo = h._log_cdf
-    diffs = np.unique([X[:, :, None] - X[:, None, :] for X in batches])
-    assert sorted(memo._index) == diffs.tolist()
-    assert sorted(memo._index.values()) == list(range(diffs.size))
-    t, _ = exp_time_nodes(0.05, order=potentials._GRAD_TIME_ORDER)
-    sigmas = np.sqrt(2.0 * h.kappa * (-t))
-    rows = [memo._index[d] for d in diffs.tolist()]
-    assert np.array_equal(memo._table[rows],
-                          potentials._log_cdf_rows(diffs, sigmas))
 
 
 def test_row_blocks_leave_every_bit_alone(monkeypatch):
