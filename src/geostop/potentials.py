@@ -88,9 +88,28 @@ _U_NODES, _U_WEIGHTS = composite_gauss_legendre(
 _YG_NODES, _YG_WEIGHTS = composite_gauss_legendre(
     np.array([-8.5, -5.0, -2.0, 0.0, 2.0, 5.0, 8.5]), 8
 )
-_YG_PDF_W = np.exp(-0.5 * _YG_NODES**2) / math.sqrt(2.0 * math.pi) * _YG_WEIGHTS
-_LOG_NDTR_YG = special.log_ndtr(_YG_NODES)
 _GRAD_TIME_ORDER = 6
+
+
+def _space_rule(nodes, weights):
+    """Nodes y, weights times the normal density, and log Phi(y)."""
+    pdf_w = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi) * weights
+    return nodes, pdf_w, special.log_ndtr(nodes)
+
+
+# The weights at a tie sum to n int phi Phi^(n-1) on the space rule, which
+# errs by 7.1e-7 at n = 15 on the 48 nodes above and by 1.1e-6, past
+# clip_simplex's 1e-6 tolerance, at n = 16.  From n = 16 the weights take
+# the value rule's 128 nodes, whose tie sum errs by 1.1e-15 at n = 16 and
+# 3.0e-12 at n = 50; below, every weight keeps the bits of the 48 nodes.
+_WEIGHT_RULES = (_space_rule(_YG_NODES, _YG_WEIGHTS),
+                 _space_rule(_U_NODES, _U_WEIGHTS))
+
+
+def _weight_rule(n: int):
+    """The space rule of the heat weights at n experts, as _space_rule."""
+    return _WEIGHT_RULES[n >= 16]
+
 
 # Kernels run on blocks of rows sized so that the temporaries _ROW_DOUBLES
 # counts hold at most this many doubles (~128 MB).
@@ -147,8 +166,7 @@ def default_eta(n: int, delta: float) -> float:
     """Learning rate sqrt(2 delta log n / (1 - delta)) for the softmax potential."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
+    check_stopping_rate(delta, allow_one=False)
     if n == 1:
         # Any positive rate works; the potential degenerates to x + const.
         return math.sqrt(2.0 * delta / (1.0 - delta))
@@ -184,8 +202,7 @@ class PotentialHandle:
             raise ValueError(f"unknown family {self.family!r}")
         if self.side not in ("lower", "upper"):
             raise ValueError(f"side must be 'lower' or 'upper', got {self.side!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
+        check_stopping_rate(self.delta, allow_one=False)
         if self.family == "exp_weights":
             if self.eta is None or self.eta <= 0:
                 raise ValueError("exp_weights needs a positive eta")
@@ -329,13 +346,14 @@ def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray, w: np.ndarray,
     b, n = X.shape
     if b == 0:  # np.take cannot gather into out from an empty table
         return np.zeros((0, n))
+    y, pdf_w, log_ndtr_y = _weight_rule(n)
     diffs, inv = np.unique(X[:, :, None] - X[:, None, :], return_inverse=True)
     # only whole-number differences, those of lattice states, recur across
     # calls; a call with any other difference computes all its rows
     if memo is None or not np.array_equal(diffs, np.floor(diffs)):
-        rows, slots = _log_cdf_rows(diffs, sigmas), inv.reshape(b, n * n)
+        rows, slots = _log_cdf_rows(diffs, sigmas, y), inv.reshape(b, n * n)
     else:
-        rows, slots = memo.lookup(diffs, sigmas)
+        rows, slots = memo.lookup(diffs, sigmas, y)
         slots = slots[inv.reshape(b, n * n)]
     # the row of term k = i * n + j for every state, contiguous
     term_rows = slots.T.copy()
@@ -346,10 +364,10 @@ def _heat_grad_batch(X: np.ndarray, sigmas: np.ndarray, w: np.ndarray,
     per_t = np.empty((b, sigmas.size, n))
     acc = np.empty((b, rows.shape[1]))
     for i in range(n):
-        s = _sum_like_numpy(fetch, i * n, n, acc).reshape(b, _YG_NODES.size, -1)
-        s -= _LOG_NDTR_YG[:, None]
+        s = _sum_like_numpy(fetch, i * n, n, acc).reshape(b, y.size, -1)
+        s -= log_ndtr_y[:, None]
         np.exp(s, out=s)
-        s *= _YG_PDF_W[:, None]
+        s *= pdf_w[:, None]
         per_t[:, :, i] = s.sum(axis=1)
     return (per_t * w[:, None]).sum(axis=1)
 
@@ -393,13 +411,14 @@ def _sum_like_numpy(fetch, lo: int, n: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_cdf_rows(diffs: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+def _log_cdf_rows(diffs: np.ndarray, sigmas: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
     """log_ndtr(y + d/sigma) over the (y, t) nodes, y-major, one row per d:
     shape (m, y * t), with the arithmetic of the direct formula's entries."""
     z = diffs[:, None] / sigmas[None, :]
-    args = _YG_NODES[None, :, None] + z[:, None, :]
+    args = y[None, :, None] + z[:, None, :]
     return special.log_ndtr(args, out=args).reshape(diffs.size,
-                                                    _YG_NODES.size * sigmas.size)
+                                                    y.size * sigmas.size)
 
 
 class _LogCdfRows:
@@ -415,19 +434,20 @@ class _LogCdfRows:
         self._index = {}  # difference -> row of the table
         self._table = np.zeros((0, 0))
 
-    def lookup(self, diffs: np.ndarray, sigmas: np.ndarray):
-        """A table and the row that holds each of the distinct diffs."""
+    def lookup(self, diffs: np.ndarray, sigmas: np.ndarray, y: np.ndarray):
+        """A table and the row that holds each of the distinct diffs, over
+        the space nodes y."""
         slots = np.fromiter(map(self._index.get, diffs.tolist(), repeat(-1)),
                             dtype=np.int64, count=diffs.size)
         miss = slots < 0
         if not miss.any():
             return self._table, slots
-        width = sigmas.size * _YG_NODES.size
+        width = sigmas.size * y.size
         first = len(self._index)
         stop = first + int(miss.sum())
         if stop * width > _CHUNK_BUDGET:
             # the memo is full: this call computes its own rows
-            return _log_cdf_rows(diffs, sigmas), np.arange(diffs.size)
+            return _log_cdf_rows(diffs, sigmas, y), np.arange(diffs.size)
         if stop > self._table.shape[0]:
             size = min(max(stop, 2 * self._table.shape[0]),
                        _CHUNK_BUDGET // width)
@@ -435,7 +455,7 @@ class _LogCdfRows:
             if first:
                 table[:first] = self._table[:first]
             self._table = table
-        self._table[first:stop] = _log_cdf_rows(diffs[miss], sigmas)
+        self._table[first:stop] = _log_cdf_rows(diffs[miss], sigmas, y)
         slots[miss] = np.arange(first, stop)
         self._index.update(zip(diffs[miss].tolist(), range(first, stop)))
         return self._table, slots
@@ -538,7 +558,8 @@ def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray,
 # them)
 _ROW_DOUBLES = {
     _heat_value_batch: lambda n: (n + 1) * _U_NODES.size,
-    _heat_grad_batch: lambda n: (n * n + (2 if n < 8 else 9)) * _YG_NODES.size,
+    _heat_grad_batch: lambda n: ((n * n + (2 if n < 8 else 9))
+                                 * _weight_rule(n)[0].size),
     _max_value_batch: lambda n: 4 * n,
     _max_grad_batch: lambda n: 5 * n,
 }

@@ -37,11 +37,7 @@ from geostop.potentials import (
     max_upper_handle,
 )
 from geostop.simulate import SimulationConfig, run
-from geostop.specfun import (
-    gaussian_max_expectation,
-    laplace_inv32_integral,
-    laplace_sqrt_integral,
-)
+from geostop.specfun import gaussian_max_expectation, laplace_inv32_integral
 from geostop.strategies import make_adversary, make_player
 from geostop.verify import (
     check_final_time,
@@ -49,6 +45,7 @@ from geostop.verify import (
     check_upper_condition,
     sample_states,
 )
+from test_specfun import laplace_sqrt_integral
 
 _SQRT_2_PI = math.sqrt(2.0 / math.pi)
 

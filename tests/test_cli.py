@@ -349,3 +349,35 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "geostop" in proc.stdout
+
+
+def test_heat_player_simulates_sixteen_experts(capsys):
+    # from n = 16 the heat weights run on the value rule's space nodes
+    assert main(["simulate", "--n", "16", "--delta", "0.1", "--player", "heat",
+                 "--adversary", "max", "--trials", "200"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials_used"] == 200
+
+
+def test_gradient_suite_passes_at_sixteen_experts(capsys):
+    assert main(["verify", "--suite", "gradients", "--n", "16",
+                 "--delta", "0.1", "--samples", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_player_oracle_settles_at_radius_240(capsys):
+    # the pessimistic and optimistic runs take 64 and 114 rounds here
+    assert main(["oracle", "--n", "3", "--delta", "0.05", "--radius", "240",
+                 "--player", "max"]) == 0
+    assert json.loads(capsys.readouterr().out)["sandwich"]["passed"] is True
+
+
+def test_unsettled_policy_iteration_exits_2(capsys):
+    # the pessimistic run keeps switching a state or two on gains of about
+    # 1e-26, which 4 ulps of so small a value let through
+    rc = main(["oracle", "--n", "2", "--delta", "0.2", "--radius", "600",
+               "--player", "max"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert ("policy iteration still switches outcomes after 1220 rounds, "
+            "its limit at radius 600") in err
+    assert "Traceback" not in err

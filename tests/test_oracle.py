@@ -341,7 +341,8 @@ def test_policy_iteration_agrees_with_the_sweeps(kind, n, radius, err):
 
 @pytest.fixture
 def player_tables(monkeypatch):
-    """The (g, delta, gain, target) tables of each policy iteration run."""
+    """The (g, delta, gain, target) tables and the radius of each policy
+    iteration run."""
     tables, solve = [], oracle._policy_iteration
 
     def recording(*args):
@@ -358,7 +359,7 @@ def test_path_doubling_matches_a_dense_solve(player_tables):
     pessimistic, optimistic = player_tables
     assert np.any(optimistic[3] == optimistic[0].size)  # exits to the sink
     rng = np.random.default_rng(5)
-    for g, _, gain, target in (pessimistic, optimistic):
+    for g, _, gain, target, _ in (pessimistic, optimistic):
         size, cols = g.size, np.arange(g.size)
         policy = rng.integers(gain.shape[0], size=size)
         got = oracle._policy_value(delta * g, 1.0 - delta, gain, target,
@@ -374,7 +375,7 @@ def test_path_doubling_matches_a_dense_solve(player_tables):
 def test_ties_end_policy_iteration(player_tables):
     lvf = value_iteration_player(make_player("max", 3, 0.1), 3, 0.1, radius=10)
     assert lvf.sweeps <= 20
-    for g, delta, gain, target in player_tables[:2]:
+    for g, delta, gain, target, radius in player_tables[:2]:
         # all -1 and all +1 leave the state in place, and their E[q_I] - q_n
         # are -+(sum of weights - 1): tied to within a few ulps
         np.testing.assert_array_equal(target[0], np.arange(g.size))
@@ -383,9 +384,9 @@ def test_ties_end_policy_iteration(player_tables):
         assert np.any(gain[0] != 0.0)
         assert np.abs(gain[0]).max() <= 4 * np.finfo(float).eps
         # making the tie exact changes no sweep and no bit
-        full = oracle._policy_iteration(g, delta, gain, target)
+        full = oracle._policy_iteration(g, delta, gain, target, int(radius))
         gain[-1] = gain[0]
-        exact = oracle._policy_iteration(g, delta, gain, target)
+        exact = oracle._policy_iteration(g, delta, gain, target, int(radius))
         np.testing.assert_array_equal(full[0], exact[0])
         assert full[1:] == exact[1:]
 

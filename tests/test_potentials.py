@@ -71,7 +71,7 @@ def test_kappa_m_values():
 def test_default_eta():
     np.testing.assert_allclose(default_eta(4, 0.5),
                                math.sqrt(2.0 * 0.5 * math.log(4) / 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\), got 1.0"):
         default_eta(2, 1.0)
 
 
@@ -341,6 +341,23 @@ def test_lean_weight_rule_tracks_the_full_rule():
                                _heat_weights_full_rule(xs, 1.7), atol=1e-7)
 
 
+def test_heat_upper_matches_mpmath_references():
+    # perfbench/data/heat_refs.json holds mpmath values (shift removed) and
+    # weights of the heat upper potential at n = 3.  Values err by 2.3e-14;
+    # weights by 1.3e-8, under a target of 1e-7, a tenth of the tolerance
+    # of clip_simplex and of verify's gradients suite.
+    refs = Path(__file__).parents[1] / "perfbench" / "data" / "heat_refs.json"
+    rows = json.loads(refs.read_text())["rows"]
+    assert len(rows) == 8
+    for row in rows:
+        h = heat_upper_handle(row["n"], row["delta"])
+        np.testing.assert_allclose(h.kappa, row["kappa"], rtol=1e-12)
+        x = np.array(row["x"], dtype=float)
+        assert abs(h.value(x) - h.shift_constant - float(row["value"])) <= 1e-12
+        want = np.array([float(w) for w in row["weights"]])
+        np.testing.assert_allclose(h.gradient(x), want, rtol=0, atol=1e-7)
+
+
 # Values and weights of every handle factory at n = 2..5 and two rates,
 # compared exactly: seeded simulations and oracle brackets depend on every
 # bit, so a change in the arithmetic or its order must show here.
@@ -433,13 +450,15 @@ def _hessian_stencil(X):
 
 
 def _direct_heat_grad(X, sigmas):
-    """The heat weight kernel without its memo: one log_ndtr per entry."""
+    """The heat weight kernel without its memo: one log_ndtr per entry, on
+    the space rule of X's number of experts."""
+    y, pdf_w, log_ndtr_y = potentials._weight_rule(X.shape[1])
     diffs = X[:, :, None] - X[:, None, :]
     z = diffs[:, None, :, :] / sigmas[None, :, None, None]
-    args = potentials._YG_NODES[None, None, :, None, None] + z[:, :, None, :, :]
+    args = y[None, None, :, None, None] + z[:, :, None, :, :]
     logcdf = special.log_ndtr(args)
-    s = logcdf.sum(axis=-1) - potentials._LOG_NDTR_YG[None, None, :, None]
-    return (np.exp(s) * potentials._YG_PDF_W[None, None, :, None]).sum(axis=2)
+    s = logcdf.sum(axis=-1) - log_ndtr_y[None, None, :, None]
+    return (np.exp(s) * pdf_w[None, None, :, None]).sum(axis=2)
 
 
 def _direct_gradient(h, X):
@@ -466,8 +485,9 @@ def _assert_one_memo_row_per_difference(h, X):
     t, _ = potentials.exp_time_nodes(h.delta, order=potentials._GRAD_TIME_ORDER)
     sigmas = np.sqrt(2.0 * h.kappa * (-t))
     rows = [memo._index[d] for d in diffs.tolist()]
+    y = potentials._weight_rule(h.n)[0]
     assert np.array_equal(memo._table[rows],
-                          potentials._log_cdf_rows(diffs, sigmas))
+                          potentials._log_cdf_rows(diffs, sigmas, y))
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -508,9 +528,6 @@ def test_heat_weights_match_the_direct_formula_on_the_full_time_rule(n):
             assert np.array_equal(h.gradient_batch(X), want), kind  # warm
 
 
-@pytest.mark.xfail(raises=ValueError, strict=True,
-                   reason="ROADMAP item 4: from n = 16 the 48-node weight rule's "
-                          "weights at a tie sum past clip_simplex's 1e-6 tolerance")
 def test_heat_weights_at_sixteen_tied_experts():
     weights = heat_upper_handle(16, 0.01).gradient(np.zeros(16))
     np.testing.assert_allclose(weights, np.full(16, 1.0 / 16.0), rtol=1e-12)
@@ -719,6 +736,8 @@ def test_handle_validation():
         PotentialHandle("heat", 3, 0.1, "sideways", kappa=1.0)
     with pytest.raises(ValueError):
         heat_lower_handle(1, 0.1)
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\), got 1.0"):
+        PotentialHandle("max", 3, 1.0, "lower", kappa=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,19 @@ from geostop.specfun import (
     gaussian_max_expectation,
     laplace_inv1_bound,
     laplace_inv32_integral,
-    laplace_sqrt_integral,
     time_truncation_bound,
 )
 
 # expected maximum of n iid standard normals, exact for small n
 SQRT_PI = math.sqrt(math.pi)
 EXPECTED_MAX = {1: 0.0, 2: 1.0 / SQRT_PI, 3: 1.5 / SQRT_PI}
+
+
+def laplace_sqrt_integral(delta: float) -> float:
+    """Closed-form reference: int_{-inf}^{-delta} e^t sqrt(-t) dt
+    = e^-d sqrt(d) + (sqrt(pi)/2) erfc(sqrt(d))."""
+    rd = math.sqrt(delta)
+    return math.exp(-delta) * rd + 0.5 * SQRT_PI * special.erfc(rd)
 
 
 def _quad_expected_max(n):
@@ -99,12 +105,18 @@ def test_laplace_inv1_really_bounds_the_integral():
 
 @pytest.mark.parametrize("delta", [0.0, -0.2, 1.5])
 def test_laplace_domain_errors(delta):
-    with pytest.raises(ValueError):
-        laplace_sqrt_integral(delta)
-    with pytest.raises(ValueError):
+    message = rf"delta must lie in \(0, 1\], got {delta}"
+    with pytest.raises(ValueError, match=message):
         laplace_inv32_integral(delta)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         laplace_inv1_bound(delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.2, 1.0, 1.5])
+def test_exp_time_nodes_domain_errors(delta):
+    with pytest.raises(ValueError,
+                       match=rf"delta must lie in \(0, 1\), got {delta}"):
+        exp_time_nodes(delta)
 
 
 def test_composite_gauss_legendre_polynomial_exact():
@@ -130,6 +142,20 @@ def test_exp_time_nodes_reproduce_laplace_integrals():
         got = float(np.sum(w * np.sqrt(-t)))
         want = math.exp(d) * laplace_sqrt_integral(d)
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+@pytest.mark.parametrize("order", [6, 12])
+@pytest.mark.parametrize("delta", [1e-8, 1e-4, 0.01, 0.111, 0.307, 0.99])
+def test_exp_time_nodes_agree_with_doubled_order(delta, order):
+    # values use order 12 and weights order 6; on sqrt(-t), the growth of a
+    # potential, and 1/sqrt(-t), steepest at the near end -delta, each
+    # agrees with the rule of twice its order to 1e-10 + 1e-9 |b|
+    t, w = exp_time_nodes(delta, order=order)
+    t2, w2 = exp_time_nodes(delta, order=2 * order)
+    for probe in (lambda u: np.sqrt(-u), lambda u: 1.0 / np.sqrt(-u)):
+        a = float(np.sum(w * probe(t)))
+        b = float(np.sum(w2 * probe(t2)))
+        assert abs(a - b) <= 1e-10 + 1e-9 * abs(b)
 
 
 def test_quadrature_settings_validation():
