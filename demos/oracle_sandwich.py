@@ -58,7 +58,7 @@ ply = value_iteration_player(make_player("max", N, DELTA), N, DELTA,
 
 lo0, hi0 = adv.bracket([0] * (N - 1))
 print(f"adversary oracle at the origin: [{lo0:.6f}, {hi0:.6f}] "
-      f"after {adv.sweeps} sweeps")
+      f"after {adv.sweeps} BiCGSTAB iterations and sweeps")
 lo0, hi0 = ply.bracket([0] * (N - 1))
 print(f"player oracle at the origin:    [{lo0:.6f}, {hi0:.6f}] "
       f"after {ply.sweeps} policy-iteration sweeps")

@@ -26,14 +26,13 @@ mixed-radix integer key whose order is their lexicographic order, so the
 transition tables come from batched projections of the (state, outcome)
 targets, about a million at a time, and a ``searchsorted`` over the keys.
 Both roles solve v = delta*g + (1-delta)*R(v) over (outcomes, states)
-tables.  The adversary sweeps both runs in one loop, R an expectation over
-axis 0 that adds up to 7 outcomes in the order of a per-state sum (wider
-heat supports, from n = 5, round differently in the last bits).  Against
-the player R is a max over axis 0, solved by Howard policy iteration:
-with one outcome fixed per state the recursion is linear on a functional
-graph (optimistic exits lead to a sink), which path doubling solves in
-O(log(1/delta)) gathers.  Tables over 10^7 entries (states times the 2^n
-vertex outcomes) are refused before anything is allocated.
+tables and certify the result with one Bellman sweep.  Against a fixed
+adversary R is an expectation, so each run is a linear system, solved by
+BiCGSTAB in about delta^(-1/2) iterations.  Against the player R is a
+max, solved by Howard policy iteration: with one outcome fixed per state
+the recursion is linear on a functional graph (optimistic exits lead to
+a sink), which path doubling solves in O(log(1/delta)) gathers.  Tables
+over 10^7 entries (states times 2^n outcomes) are refused up front.
 """
 
 from __future__ import annotations
@@ -48,11 +47,6 @@ from .game import _check_tol, check_stopping_rate
 from .potentials import PotentialHandle
 from .strategies import AdversaryStrategy, PlayerStrategy
 
-# sweeps without a new least update that show a run stuck at the rounding
-# floor
-_STALL_SWEEPS = 100
-_FLOOR = ("rounding keeps the fixed-point gap at {:.2e}, above tol={:g}: "
-          "tol is below the rounding floor")
 # transition-table entries (states x 2^n vertex outcomes) a lattice may need
 _MAX_TABLE_ENTRIES = 10**7
 # (state, outcome) targets projected per batch when building the tables
@@ -139,19 +133,11 @@ def project_state(d: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LatticeValueFunction:
-    """Bracketed values on the truncated lattice.
-
-    lower/upper are the pessimistic and optimistic runs' results, whose
-    exact fixed points bracket the untruncated value at each state.
-    fixed_point_gap = ((1-delta)/delta)*residual, residual being the last
-    Bellman sweep's sup-norm update, bounds the distance to those fixed
-    points, so a bracket is certified only once widened by it on each side.
-    role names the fixed side.  For "adversary" sweeps counts sweeps of both
-    runs until the gap fell to tol (at n=2, delta=0.2, radius 120 and the
-    default tol, the exact value lies 2.2e-9 above upper).  For "player" it
-    adds the Bellman sweeps of the two policy iterations, the last of each
-    certifying its policy, and the gap sits at the rounding floor.
-    """
+    """Certified brackets on the truncated lattice: each run's certifying
+    Bellman sweep Tx from its solution x, widened by fixed_point_gap =
+    ((1-delta)/delta)*residual, residual = max |Tx - x|, brackets the run's
+    fixed point and so the untruncated value.  role names the fixed side;
+    sweeps sums each run's iterations and its certifying sweep."""
 
     role: str
     n: int
@@ -232,31 +218,48 @@ def _setup(n: int, delta: float, radius: int, tol: float):
     return states, _full_rows(states)
 
 
-def _solve(states, delta, radius, tol, lower, upper) -> LatticeValueFunction:
-    """Sweep both adversary runs of v <- delta*g + (1-delta)*R(v) to tol.
+def _bicgstab(step, b, x, limit):
+    """Solve v = b + step v by unpreconditioned BiCGSTAB (van der Vorst 1992)
+    from x to a sup-norm residual of 1e-15 |b| within ``limit`` iterations,
+    then sweep Tx = b + step x: returns Tx, |Tx - x| and the iterations plus
+    that sweep.  Inner products are numpy reduces, whose bits no BLAS thread
+    count moves.  A second pass restarts from the true residual, which the
+    recurrences' residual drifts from by ulps of |x| (as at n=2, r=400)."""
+    target, iterations, x = 1e-15 * np.max(np.abs(b)), 0, x.copy()
+    for _ in range(2):
+        r = b - (x - step @ x)
+        shadow, p, v = r.copy(), np.zeros_like(r), np.zeros_like(r)
+        rho = alpha = omega = 1.0
+        while max(r.max(), -r.min()) > target:  # a NaN ends it, uncertified
+            if iterations == limit:
+                raise ValueError(f"no BiCGSTAB solve in {limit} iterations")
+            iterations += 1
+            rho, last = np.add.reduce(shadow * r), rho
+            p -= omega * v
+            p *= (rho / last) * (alpha / omega)
+            p += r
+            v = p - step @ p
+            alpha = rho / np.add.reduce(shadow * v)
+            r -= alpha * v  # r holds s from here
+            t = r - step @ r
+            omega = np.add.reduce(t * r) / np.add.reduce(t * t)
+            x += alpha * p + omega * r
+            r -= omega * t
+    tx = b + step @ x
+    return tx, float(np.max(np.abs(tx - x))), iterations + 1
 
-    ``lower`` and ``upper`` give R(v), the continuation of the pessimistic
-    and the optimistic run; g is the score max(d, 0) of each state.
-    """
-    g = np.maximum(states.max(axis=1), 0).astype(float)
-    stop = delta * g
-    factor = (1.0 - delta) / delta if delta < 1.0 else 0.0
-    v_lo, v_hi = g.copy(), g.copy()
-    least, least_at = np.inf, 0
-    for sweeps in itertools.count(1):
-        new_lo = stop + (1.0 - delta) * lower(v_lo)
-        new_hi = stop + (1.0 - delta) * upper(v_hi)
-        diff = max(np.max(np.abs(new_lo - v_lo)), np.max(np.abs(new_hi - v_hi)))
-        v_lo, v_hi = new_lo, new_hi
-        if factor * diff <= tol or diff == 0.0:
-            return LatticeValueFunction("adversary", states.shape[1] + 1,
-                                        delta, radius, states, v_lo, v_hi,
-                                        diff, factor * diff, sweeps)
-        # a contraction's update falls every sweep until rounding stops it
-        if diff < least:
-            least, least_at = diff, sweeps
-        elif sweeps - least_at >= _STALL_SWEEPS:
-            raise ValueError(_FLOOR.format(factor * least, tol))
+
+def _certified(role, states, delta, radius, tol, runs):
+    """Certify the runs' (Tx, |Tx - x|, sweeps): see LatticeValueFunction."""
+    (lower, res_lo, sweeps_lo), (upper, res_hi, sweeps_hi) = runs
+    residual = max(res_lo, res_hi)
+    gap = residual * (1.0 - delta) / delta
+    if not gap <= tol:
+        raise ValueError(f"rounding keeps the fixed-point gap at {gap:.2e}, "
+                         f"above tol={tol:g}: tol is below the rounding floor")
+    return LatticeValueFunction(role, states.shape[1] + 1, delta, radius,
+                                states, lower - gap, upper + gap, residual,
+                                gap, sweeps_lo + sweeps_hi)
 
 
 def _policy_value(stop, gamma, gain, target, policy):
@@ -276,13 +279,11 @@ def _policy_value(stop, gamma, gain, target, policy):
 def _policy_iteration(g, delta, gain, target, radius):
     """Howard policy iteration for v = delta*g + (1-delta)*max_k(gain[k] +
     v[target[k]]); targets may name the sink.  A state keeps its outcome
-    unless another gains more than a few ulps, so exact ties end the loop.
-    The sweep that leaves the policy unchanged certifies it: returns its
-    result, its sup-norm update and the number of sweeps.
-
-    The rounds grow with the radius: the most measured were 7 at radius
-    2, 19 at 30, 35 at 60 and 148 at 300, each under half of
-    2*radius + 20, so more rounds than that raise ValueError."""
+    unless another gains over 4 ulps of the largest |value|, so ties end
+    the loop, and the sweep that leaves the policy unchanged certifies it:
+    returns its result, its sup-norm update and the number of sweeps.  The
+    most rounds measured, 7 at radius 2, 20 at 30, 35 at 60 and 161 at 300,
+    are under half of 2*radius + 20, and more than that raise ValueError."""
     stop, cols = delta * g, np.arange(g.size)
     v, policy = np.append(g, 0.0), None
     limit = 2 * radius + 20
@@ -293,7 +294,7 @@ def _policy_iteration(g, delta, gain, target, radius):
         top = q[best, cols]
         new = stop + (1.0 - delta) * top
         if policy is not None:
-            switch = top - q[policy, cols] > 4 * np.spacing(np.abs(top))
+            switch = top - q[policy, cols] > 4 * np.spacing(np.abs(top).max())
             if not switch.any():
                 return new, float(np.max(np.abs(new - v[:-1]))), sweeps
             best = np.where(switch, best, policy)
@@ -323,11 +324,18 @@ def value_iteration_adversary(adversary: AdversaryStrategy, n: int,
     lin = np.minimum(lin, 0.0)  # the pinned expert itself is also available
     nxt, dist = _transition_tables(states, shifts, radius)
 
-    def expectation(charge):
-        return lambda v: lin + (probs[:, None] * (v[nxt] + charge)).sum(axis=0)
-
-    return _solve(states, delta, radius, tol, expectation(-dist),
-                  expectation(dist))
+    # each run is v = b + step v, step = (1-delta)P, b = delta*g +
+    # (1-delta)*(lin -+ P dist); BiCGSTAB took at most 18.5/sqrt(delta)
+    # iterations in measurements at n = 2..4
+    from scipy.sparse import csr_array  # here, not in every command's import
+    size, gamma, g = states.shape[0], 1.0 - delta, rows.max(axis=1)
+    step = csr_array((np.tile(gamma * probs, size), nxt.T.ravel(),
+                      np.arange(0, nxt.size + 1, probs.size)), (size, size))
+    stop = delta * g + gamma * lin
+    charge = gamma * (probs[:, None] * dist).sum(axis=0)
+    runs = [_bicgstab(step, b, g, int(np.ceil(60 / np.sqrt(delta))))
+            for b in (stop - charge, stop + charge)]
+    return _certified("adversary", states, delta, radius, tol, runs)
 
 
 def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
@@ -340,11 +348,8 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
     response against this player; any valid upper potential for the player
     still dominates it.
 
-    The pessimistic run charges the projection distance at exits.  The
-    optimistic run values each transition that leaves the domain at the
-    player's potential plus ``error_term``, evaluated at the actual target
-    state; see the module docstring.  A player without a potential raises
-    ValueError.
+    The optimistic run reads its exits from the player's potential plus
+    ``error_term``; a player without a potential raises ValueError.
     """
     if (player.n, player.delta) != (n, delta):
         raise ValueError(f"player built for n={player.n}, delta={player.delta}, "
@@ -368,17 +373,12 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
         _full_rows(states[si] + shifts[ki])) + error_term
     g = rows.max(axis=1)
     gain = np.subtract(lin, dist, out=dist)  # pessimistic, in place
-    lower, res_lo, sweeps_lo = _policy_iteration(g, delta, gain, nxt, radius)
+    runs = [_policy_iteration(g, delta, gain, nxt, radius)]
     # optimistic exits lead to the sink and gain their exit values
     lin[ki, si] += exit_vals
     nxt[ki, si] = states.shape[0]
-    upper, res_hi, sweeps_hi = _policy_iteration(g, delta, lin, nxt, radius)
-    residual = max(res_lo, res_hi)
-    gap = residual * (1.0 - delta) / delta  # players need delta < 1
-    if gap > tol:
-        raise ValueError(_FLOOR.format(gap, tol))
-    return LatticeValueFunction("player", n, delta, radius, states, lower,
-                                upper, residual, gap, sweeps_lo + sweeps_hi)
+    runs.append(_policy_iteration(g, delta, lin, nxt, radius))
+    return _certified("player", states, delta, radius, tol, runs)
 
 
 @dataclass(frozen=True)

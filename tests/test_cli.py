@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from geostop import cli
+from geostop import cli, oracle
 from geostop.cli import build_parser, main
 
 
@@ -365,19 +365,30 @@ def test_gradient_suite_passes_at_sixteen_experts(capsys):
 
 
 def test_player_oracle_settles_at_radius_240(capsys):
-    # the pessimistic and optimistic runs take 64 and 114 rounds here
+    # the pessimistic and optimistic runs take 49 and 114 rounds here
     assert main(["oracle", "--n", "3", "--delta", "0.05", "--radius", "240",
                  "--player", "max"]) == 0
     assert json.loads(capsys.readouterr().out)["sandwich"]["passed"] is True
 
 
-def test_unsettled_policy_iteration_exits_2(capsys):
-    # the pessimistic run keeps switching a state or two on gains of about
-    # 1e-26, which 4 ulps of so small a value let through
+def test_player_oracle_settles_at_n2_radius_600(capsys):
+    # gains below 4 ulps of the largest value end the rounds, here 79 and
+    # 127; 4 ulps of each state's own value let gains of about 1e-26 through
+    # on states that small, and the runs never settled
+    assert main(["oracle", "--n", "2", "--delta", "0.2", "--radius", "600",
+                 "--player", "max"]) == 0
+    assert json.loads(capsys.readouterr().out)["sandwich"]["passed"] is True
+
+
+def test_unsettled_policy_iteration_exits_2(monkeypatch, capsys):
+    # the same runs held to the round limit of radius 20, 2*20 + 20 = 60
+    solve = oracle._policy_iteration
+    monkeypatch.setattr(oracle, "_policy_iteration",
+                        lambda *args: solve(*args[:-1], 20))
     rc = main(["oracle", "--n", "2", "--delta", "0.2", "--radius", "600",
                "--player", "max"])
     err = capsys.readouterr().err
     assert rc == 2
-    assert ("policy iteration still switches outcomes after 1220 rounds, "
-            "its limit at radius 600") in err
+    assert ("policy iteration still switches outcomes after 60 rounds, "
+            "its limit at radius 20") in err
     assert "Traceback" not in err

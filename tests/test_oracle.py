@@ -174,28 +174,26 @@ def test_transition_tables_match_the_loop(law, block, monkeypatch):
     assert np.any(dist > 0)
 
 
-# sweeps, residual, fixed_point_gap and the origin bracket at n=3, r=20,
-# delta=0.1: the adversary's as the loop-built tables and (S, K) sweeps gave
-# them, the player's as policy iteration gives them with exits read from the
-# player's potential; any change in the order of the arithmetic shows up here
+# sweeps, residual, fixed_point_gap and the certified origin bracket at
+# n=3, r=20, delta=0.1: the adversary's as BiCGSTAB and its certifying sweep
+# give them, the player's as policy iteration gives them with exits read
+# from the player's potential; any change in the order of the arithmetic
+# shows up here
 _PINNED = {
-    ("adversary", "heat"): (179, 1.0349889834060377e-09, 9.31490085065434e-09,
-                            2.4228216118855586, 2.5157065942138184),
-    ("adversary", "max"): (177, 1.0210445822167458e-09, 9.189401239950712e-09,
-                           2.588724311910788, 2.721753941220505),
+    ("adversary", "heat"): (76, 7.105427357601002e-15, 6.394884621840902e-14,
+                            2.422821603929156, 2.5157066019232857),
+    ("adversary", "max"): (93, 3.552713678800501e-15, 3.197442310920451e-14,
+                           2.5887243049318913, 2.721753948103425),
     ("player", "exp"): (20, 7.105427357601002e-15, 6.394884621840902e-14,
-                        3.1735874548001815, 3.2183420599519876),
-    ("player", "max"): (6, 7.105427357601002e-15, 6.394884621840902e-14,
-                        2.8911065833984004, 3.2008669779216627),
-    ("player", "heat"): (10, 7.105427357601002e-15, 6.394884621840902e-14,
-                         3.1189502169794054, 3.4759294536511636),
+                        3.1735874548001175, 3.2183420599520516),
+    ("player", "max"): (5, 7.105427357601002e-15, 6.394884621840902e-14,
+                        2.8911065833983365, 3.2008669779217267),
+    ("player", "heat"): (9, 7.105427357601002e-15, 6.394884621840902e-14,
+                         3.1189502169793415, 3.4759294536512275),
 }
-# The same for the heat adversary at n=5, r=10, as the (K, S) sweeps give
-# it.  Up to n=4 an adversary law has at most 6 outcomes, which numpy sums
-# in the same order along either axis of the tables; this one has 20, whose
-# sum rounds by layout.
-_PINNED_N5 = (189, 1.0000973382773282e-09, 9.000876044495953e-09,
-              1.2448872167622582, 3.909443321117697)
+# The same for the heat adversary at n=5, r=10, whose law has 20 outcomes
+_PINNED_N5 = (67, 5.329070518200751e-15, 4.796163466380676e-14,
+              1.2448872077919257, 3.909443330078758)
 
 
 @pytest.mark.parametrize("role, kind, n, radius, want", [
@@ -218,18 +216,18 @@ def test_pinned_outputs(role, kind, n, radius, want):
 
 # Every bit of both runs of `oracle --n 4 --delta 0.05 --radius 30` for the
 # max adversary, the exp player and the max player: sweeps and the SHA-256
-# of lower and upper.  The max player's exits carry the error term that
-# `--errors estimated` gives at the default seed.
+# of the certified lower and upper.  The max player's exits carry the error
+# term that `--errors estimated` gives at the default seed.
 _PINNED_N4 = {
     ("adversary", "max"): (
-        372, "a876e9eab4617dee15970e821a1675a2f5fc663e8427d879848aba65b3046cfe",
-        "ec052e6d313909438b99a901bf9269acca8064b1469cc0a858598565f0ed9e39"),
+        143, "49cf1aaf246e05ff6ef509762a441783af0eccc24ccf9b960caeee70dc5959e4",
+        "48210a4f6bc4fdf8652f436e792d3d70d72d2bee94efd9b6c77f057d49fbfd26"),
     ("player", "exp"): (
-        26, "142dc8f8429195d500a8c083abeae44e083227f41ecc466be8bf0d7811fc48b6",
-        "09091b6dbe2d7418de0ad295a87068a24e53ca6448ee4bb77a971e85a16ff9d5"),
+        26, "4c6536a96a11cfbc912ae86e311537fadd82c9d181cc4f0b37a538b7e343c04b",
+        "0e3fe8175bb313b7779467003b7b9284d677a1828af897f585752df4d170ec68"),
     ("player", "max"): (
-        18, "5d5cc1a59cf82dba3dfbe787576930006277173588c36f7382fc36a6645a0d6c",
-        "30a715d3c24f6f1e6935c44880ab7a1b769610cbc2ae3dca867fc65aca64b188"),
+        18, "44fd3928645e7be397819735774481afef79f4a6d8dac5d929c9d6f1ca24e310",
+        "a1c914d102ba83da56d28a3c260c817483b228e1ee73a12243ac119f58f649d5"),
 }
 _MAX_UPPER_ERROR_N4 = 0.9115363240315796
 
@@ -339,6 +337,92 @@ def test_policy_iteration_agrees_with_the_sweeps(kind, n, radius, err):
     assert np.all(np.abs(lvf.upper - hi) <= both)
 
 
+def _adversary_sweep_reference(adversary, n, delta, radius, tol=1e-8):
+    """The adversary's Bellman sweeps from before BiCGSTAB: both runs from
+    the score until ((1-delta)/delta) times the sup-norm update is at most
+    tol.  Returns lower, upper, that gap and the sweeps."""
+    states = build_states(n, radius)
+    rows = np.hstack([states, np.zeros_like(states[:, :1])]).astype(float)
+    support, probs = adversary.outcomes_batch(rows)
+    shifts = (support[:, :, -1:] - support[:, :, :-1]).astype(np.int64)
+    means = (probs[None, :, None] * support).sum(axis=1)
+    lin = np.minimum(means[:, :-1].min(axis=1) - means[:, -1], 0.0)
+    nxt, dist = _transition_tables(states, shifts, radius)
+    g = np.maximum(states.max(axis=1), 0).astype(float)
+    lo, hi = g.copy(), g.copy()
+    for sweeps in itertools.count(1):
+        new_lo = delta * g + (1.0 - delta) * (
+            lin + (probs[:, None] * (lo[nxt] - dist)).sum(axis=0))
+        new_hi = delta * g + (1.0 - delta) * (
+            lin + (probs[:, None] * (hi[nxt] + dist)).sum(axis=0))
+        diff = max(np.max(np.abs(new_lo - lo)), np.max(np.abs(new_hi - hi)))
+        lo, hi = new_lo, new_hi
+        if (1.0 - delta) / delta * diff <= tol:
+            return lo, hi, (1.0 - delta) / delta * diff, sweeps
+
+
+# What the sweeps gave the adversary before BiCGSTAB, and what
+# _adversary_sweep_reference must reproduce: sweeps and the SHA-256 of lower
+# and upper at every pinned config, (n, delta, radius) by key
+_ADVERSARY_SWEPT = {
+    ("heat", 3, 0.1, 20): (
+        179, "d5e76bc0c07d61446243996d493828fddb48a8be67d61b7f0147b264a7859c28",
+        "5c40e5e68697df64e11e77b0eb2ce553f10dc714ab8b5d5a3b707bf6ebf2b0bc"),
+    ("max", 3, 0.1, 20): (
+        177, "eeb81270a97a6bceaa5f88a839f5432e8f119e343fdcbe55638df00367fbe700",
+        "e3aa7978f1dfbf8844d1e96daa30bb812533eec99cbc0ce4465a19e9d940680d"),
+    ("heat", 5, 0.1, 10): (
+        189, "aefd2c1db765a83161b613d03695fec449c89310cbb50c00b1addf8562fd1184",
+        "74a94fcd48e44be58cf3b906215017334c374160aaf94f5000a78f1965b17c5e"),
+    ("max", 4, 0.05, 30): (
+        372, "a876e9eab4617dee15970e821a1675a2f5fc663e8427d879848aba65b3046cfe",
+        "ec052e6d313909438b99a901bf9269acca8064b1469cc0a858598565f0ed9e39"),
+}
+
+
+@pytest.mark.parametrize("kind, n, delta, radius", list(_ADVERSARY_SWEPT),
+                         ids=[f"{k}-n{n}" for k, n, _, _ in _ADVERSARY_SWEPT])
+def test_repinned_adversary_values_moved_within_the_old_gap(kind, n, delta,
+                                                            radius):
+    adversary = make_adversary(kind, n)
+    lo, hi, gap, sweeps = _adversary_sweep_reference(adversary, n, delta,
+                                                     radius)
+    assert (sweeps, _sha(lo), _sha(hi)) == \
+        _ADVERSARY_SWEPT[kind, n, delta, radius]
+    lvf = value_iteration_adversary(adversary, n, delta, radius)
+    assert np.all(np.abs(lvf.lower - lo) <= gap)
+    assert np.all(np.abs(lvf.upper - hi) <= gap)
+    assert lvf.fixed_point_gap <= 2e-12
+
+
+@pytest.mark.parametrize("n, radius", [(2, 16), (3, 8), (4, 6)])
+@pytest.mark.parametrize("delta", [0.5, 0.1, 0.02])
+@pytest.mark.parametrize("kind", ["heat", "max"])
+def test_bicgstab_agrees_with_the_sweeps(kind, delta, n, radius):
+    adversary = make_adversary(kind, n)
+    lo, hi, gap, _ = _adversary_sweep_reference(adversary, n, delta, radius)
+    lvf = value_iteration_adversary(adversary, n, delta, radius)
+    # the widened brackets contain both runs' fixed points, which the swept
+    # values lie within their gap of
+    assert np.all(lvf.lower <= lo + gap)
+    assert np.all(hi - gap <= lvf.upper)
+    assert np.all(lvf.lower >= lo - gap - 2 * lvf.fixed_point_gap)
+    assert np.all(lvf.upper <= hi + gap + 2 * lvf.fixed_point_gap)
+
+
+def test_bicgstab_iterations_are_limited():
+    # v = b + 0.99 C v, C a cyclic shift: two iterations stop short of the
+    # target
+    step = 0.99 * np.roll(np.eye(50), 1, axis=0)
+    b = np.linspace(1.0, 2.0, 50)
+    tx, residual, sweeps = oracle._bicgstab(step, b, np.zeros(50), 500)
+    assert 2 < sweeps < 500
+    np.testing.assert_allclose(tx - step @ tx, b, rtol=0, atol=1e-11)
+    assert residual <= 1e-11
+    with pytest.raises(ValueError, match="in 2 iterations"):
+        oracle._bicgstab(step, b, np.zeros(50), 2)
+
+
 @pytest.fixture
 def player_tables(monkeypatch):
     """The (g, delta, gain, target) tables and the radius of each policy
@@ -414,8 +498,8 @@ def test_n2_brackets_contain_the_exact_value(delta, tol):
     # P(K = k) = c rho^|k|, c = (1-rho)/(1+rho), and x_2 is a martingale:
     # V(d) = sum_k c rho^|k| max(d + 2k, 0)
     #      = max(d, 0) + 2 rho^(|d|/2 + 1) / (1 - rho^2)
-    # at every even d; the brackets widened by the gap hold it everywhere
-    # (unwidened they miss by up to 2.4e-9)
+    # at every even d; the published brackets, widened by the gap, hold it
+    # everywhere
     rho = (1.0 - math.sqrt(delta * (2.0 - delta))) / (1.0 - delta)
     widths = []
     for radius in (40, 120, 400):
@@ -425,13 +509,13 @@ def test_n2_brackets_contain_the_exact_value(delta, tol):
         assert d.size == radius + 1 and not np.any(d % 2)
         exact = (np.maximum(d, 0)
                  + 2.0 * rho ** (np.abs(d) // 2 + 1) / (1.0 - rho * rho))
-        gap = lvf.fixed_point_gap
-        assert np.all(lvf.lower - gap <= exact), radius
-        assert np.all(exact <= lvf.upper + gap), radius
+        assert np.all(lvf.lower <= exact), radius
+        assert np.all(exact <= lvf.upper), radius
         lo, hi = lvf.bracket([0])
-        widths.append(hi - lo)
-    assert widths[0] > widths[1] >= widths[2]
-    assert widths[1] > widths[2] or widths[1] == 0.0
+        # the truncation width: the bracket's without its two gaps, which
+        # leave a few ulps of rounding where it has shrunk to 0
+        widths.append(hi - lo - 2 * lvf.fixed_point_gap)
+    assert widths[0] > widths[1] > widths[2] - 1e-14
 
 
 def test_project_state_random_targets_land_in_domain():
@@ -459,7 +543,7 @@ def test_immediate_stop_returns_the_score():
 def test_adversary_origin_value_frozen(adv_half):
     # Direct simulation of the same matchup gives 0.578 +- 0.003.
     np.testing.assert_allclose(adv_half.value_at_origin(),
-                               0.5773488716267821, rtol=1e-9)
+                               0.5773488726109757, rtol=1e-9)
     lo, hi = adv_half.bracket([0])
     assert hi - lo < 1e-4
     assert adv_half.fixed_point_gap <= 1e-8
