@@ -22,9 +22,10 @@ bound survives exact dynamic programming on the interior, which is the
 verification argument behind the paper's upper bounds.
 
 The engine does no per-state Python work.  States are indexed by a
-mixed-radix integer key whose order is their lexicographic order, so the
-transition tables come from batched projections of the (state, outcome)
-targets, about a million at a time, and a ``searchsorted`` over the keys.
+mixed-radix integer key whose order is their lexicographic order.  Only
+edge states' targets can leave the domain and are projected; any other
+target's key is its state's plus its shift's.  A ``searchsorted`` over
+the keys then finds every (state, outcome) target.
 Both roles solve v = delta*g + (1-delta)*R(v) over (outcomes, states)
 tables and certify the result with one Bellman sweep.  Against a fixed
 adversary R is an expectation, so each run is a linear system, solved by
@@ -54,10 +55,9 @@ _TABLE_BLOCK = 2**20
 
 
 def _span(states: np.ndarray) -> np.ndarray:
-    """max of coords and 0 minus min of coords and 0, per row."""
-    hi = np.maximum(states.max(axis=1), 0)
-    lo = np.minimum(states.min(axis=1), 0)
-    return hi - lo
+    """max of coords and 0 minus min of coords and 0, along the last axis."""
+    return (np.maximum(states.max(axis=-1), 0)
+            - np.minimum(states.min(axis=-1), 0))
 
 
 def check_lattice(n: int, radius: int) -> None:
@@ -70,8 +70,7 @@ def check_lattice(n: int, radius: int) -> None:
         raise ValueError("n must be at least 2")
     if radius < 2 or radius % 2:
         raise ValueError("radius must be a positive even integer")
-    half = radius // 2
-    count = (half + 1) ** n - half ** n
+    count = (radius // 2 + 1) ** n - (radius // 2) ** n
     entries = count * 2 ** n
     if entries > _MAX_TABLE_ENTRIES:
         raise ValueError(
@@ -85,9 +84,8 @@ def build_states(n: int, radius: int) -> np.ndarray:
     """Even-lattice reduced states with span(d, 0) <= radius, lexicographic.
 
     Prefixes grow one coordinate at a time and keep only rows whose running
-    span fits, so no row outside the domain is ever built.  Appending the
-    even values in increasing order to lexicographically sorted prefixes
-    keeps the rows sorted.
+    span fits, so no row outside the domain is ever built; appending the
+    even values in increasing order to sorted prefixes keeps them sorted.
     """
     radius = int(radius)
     check_lattice(n, radius)
@@ -192,22 +190,26 @@ def _full_rows(d: np.ndarray) -> np.ndarray:
 def _transition_tables(states: np.ndarray, shifts: np.ndarray, radius: int):
     """Index and projection-distance tables for d -> d + shift, shape (K, S).
 
-    ``shifts`` is (K, n-1), shared by every state, or (S, K, n-1).  Targets
-    are projected in blocks of about _TABLE_BLOCK entries, which bounds the
-    temporaries of the largest lattices to a few hundred MB.
+    ``shifts`` is (K, n-1), shared by every state, or (S, K, n-1).  Since
+    span(d + s) <= span(d) + span(s), only targets of edge states, where
+    span(d) plus d's largest shift span passes the radius, can leave the
+    domain.  Only they are projected, in blocks of about _TABLE_BLOCK
+    entries; any other has distance 0 and key key(d) + key(s) - key(0).
     """
-    shifts = np.broadcast_to(shifts, states.shape[:1] + shifts.shape[-2:])
-    shifts = shifts.swapaxes(0, 1)  # (K, S, n-1) view, outcome-major
+    (size, m), count = states.shape, shifts.shape[-2]
+    edge = np.flatnonzero(_span(states) + _span(shifts).max(axis=-1) > radius)
     keys = _lattice_key(states, radius)
-    nxt = np.empty(shifts.shape[:2], dtype=np.int64)
-    dist = np.empty(shifts.shape[:2])
-    step = max(1, _TABLE_BLOCK // shifts.shape[0])
-    for start in range(0, states.shape[0], step):
-        rows = slice(start, start + step)
+    offset = _lattice_key(shifts, radius) - _lattice_key(0 * states[0], radius)
+    nxt = keys + np.broadcast_to(offset, (size, count)).T
+    dist = np.zeros((count, size))
+    shifts = np.broadcast_to(shifts, (size, count, m)).swapaxes(0, 1)
+    step = max(1, _TABLE_BLOCK // count)
+    for start in range(0, edge.size, step):
+        rows = edge[start:start + step]
         proj, moved = project_state(states[rows] + shifts[:, rows], radius)
-        nxt[:, rows] = np.searchsorted(keys, _lattice_key(proj, radius))
+        nxt[:, rows] = _lattice_key(proj, radius)
         dist[:, rows] = moved
-    return nxt, dist
+    return np.searchsorted(keys, nxt), dist
 
 
 def _setup(n: int, delta: float, radius: int, tol: float):
@@ -284,21 +286,20 @@ def _policy_iteration(g, delta, gain, target, radius):
     returns its result, its sup-norm update and the number of sweeps.  The
     most rounds measured, 7 at radius 2, 20 at 30, 35 at 60 and 161 at 300,
     are under half of 2*radius + 20, and more than that raise ValueError."""
-    stop, cols = delta * g, np.arange(g.size)
+    stop, cols, limit = delta * g, np.arange(g.size), 2 * radius + 20
     v, policy = np.append(g, 0.0), None
-    limit = 2 * radius + 20
     for sweeps in range(1, limit + 1):
         q = v[target]
         q += gain
-        best = q.argmax(axis=0)
-        top = q[best, cols]
+        top = q.max(axis=0)
         new = stop + (1.0 - delta) * top
-        if policy is not None:
+        if policy is None:
+            policy = q.argmax(axis=0)
+        else:
             switch = top - q[policy, cols] > 4 * np.spacing(np.abs(top).max())
             if not switch.any():
                 return new, float(np.max(np.abs(new - v[:-1]))), sweeps
-            best = np.where(switch, best, policy)
-        policy = best
+            policy[switch] = q[:, switch].argmax(axis=0)
         v = _policy_value(stop, 1.0 - delta, gain, target, policy)
     raise ValueError(f"policy iteration still switches outcomes after "
                      f"{limit} rounds, its limit at radius {radius}")
@@ -343,10 +344,9 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
                            error_term: float = 0.0) -> LatticeValueFunction:
     """Best adversary response against a fixed player, vertex outcomes only.
 
-    The adversary is restricted to deterministic loss vectors in {-1,+1}^n
-    (the cube vertices), so the result lower-bounds the unrestricted best
-    response against this player; any valid upper potential for the player
-    still dominates it.
+    The adversary plays only the cube vertices {-1,+1}^n, so the result
+    lower-bounds its unrestricted best response against this player; any
+    valid upper potential for the player still dominates it.
 
     The optimistic run reads its exits from the player's potential plus
     ``error_term``; a player without a potential raises ValueError.

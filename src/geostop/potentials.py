@@ -43,15 +43,14 @@ same arithmetic as the entries of the direct formula, and a weight adds
 its n rows whole, in the order numpy sums a last axis of length n, so no
 reduction runs over a short inner axis and every weight keeps its bits.
 
-A max value or weight depends on a state only through its ranked gaps, and
-the lattice states of oracle share few gap tuples (816 among the 14,911
-states at n=4, radius 30).  Each call therefore evaluates the ranked
-formula once per distinct gap tuple, found by a lexsort of their bits,
-and gathers the results by row: a value before the row's mean is added, a
-weight after its time sum and before it is unsorted to input order.  At a
-single sigma (fixed_value_batch) the sort would cost more than it saves,
-and every row is evaluated for itself.  Every value and weight keeps its
-bits.
+A max weight depends on a state only through its ranked gaps and a max
+value through its (mean, gaps) key, and the lattice states of oracle
+share few keys (816 gap tuples among the 14,911 states at n=4, radius 30).
+Each call finds its distinct keys over the whole batch by a lexsort of
+their bits, time-sums the ranked formula once per key, in blocks of keys,
+and gathers by row; weights are then unsorted to input order.  At a single
+sigma (fixed_value_batch) every row stands for itself.  Every value and
+weight keeps its bits.
 """
 
 from __future__ import annotations
@@ -230,18 +229,21 @@ class PotentialHandle:
             X = np.asarray(X, dtype=float)
             vals = special.logsumexp(self.eta * X, axis=-1) / self.eta
             return vals + (1.0 - self.delta) * self.eta / (2.0 * self.delta)
-        kernel = _heat_value_batch if self.family == "heat" else _max_value_batch
-        return _geometric_value(_as_batch(X), self, kernel)
+        t, w = exp_time_nodes(self.delta)
+        sigmas = np.sqrt(2.0 * self.kappa * (-t))
+        vals = self._fixed_sum(_as_batch(X), sigmas, w)
+        if self.side == "lower":
+            return vals - self.shift_constant
+        return vals + self.shift_constant
 
     def gradient_batch(self, X) -> np.ndarray:
         """Probability weights, the gradient at the rows of X, shape (b, n)."""
         if self.family == "exp_weights":
             X = np.asarray(X, dtype=float)
             return special.softmax(self.eta * X, axis=-1)
-        if self.family == "heat":
-            return _geometric_gradient(_as_batch(X), self, _heat_grad_batch,
-                                       self._log_cdf)
-        return _geometric_gradient(_as_batch(X), self, _max_grad_batch)
+        t, w = exp_time_nodes(self.delta, order=_GRAD_TIME_ORDER)
+        sigmas = np.sqrt(2.0 * self.kappa * (-t))
+        return clip_simplex(self._fixed_sum(_as_batch(X), sigmas, w, True))
 
     def fixed_value_batch(self, X, t: float) -> np.ndarray:
         """Fixed-time solution u(x, t) at the handle's kappa and a time t < 0,
@@ -250,9 +252,17 @@ class PotentialHandle:
             raise ValueError("exp_weights has no fixed-time solution")
         if not t < 0:
             raise ValueError("t must be negative")
-        kernel = _heat_value_batch if self.family == "heat" else _max_value_batch
         sigma = np.array([math.sqrt(2.0 * self.kappa * (-t))])
-        return _time_sum(kernel, _as_batch(X), sigma, np.ones(1))
+        return self._fixed_sum(_as_batch(X), sigma, np.ones(1))
+
+    def _fixed_sum(self, X, sigmas, w, weights=False):
+        """Per row of X, the w-weighted sum over sigmas of u or its weights."""
+        if self.family == "max":
+            kernel = _max_grad_batch if weights else _max_value_batch
+            return kernel(X, sigmas, w)
+        if weights:
+            return _time_sum(_heat_grad_batch, X, sigmas, w, self._log_cdf)
+        return _time_sum(_heat_value_batch, X, sigmas, w)
 
 
 def exp_handle(n: int, delta: float) -> PotentialHandle:
@@ -480,43 +490,48 @@ def _rank_coeffs(n: int) -> np.ndarray:
     return 1.0 / (ell * (ell + 1.0))
 
 
-def _distinct_gaps(gaps: np.ndarray, sigmas: np.ndarray):
-    """Distinct rows of gaps, bit for bit, and the index of each row's.
-
-    A lexsort of the rows' bits and a compare of neighbours find them.  At
-    a single sigma the sort costs more than the evaluations it saves, so
-    there, as with fewer than two rows, every row stands for itself.
-    """
-    b = gaps.shape[0]
-    if sigmas.size == 1 or b < 2:
-        return gaps, np.arange(b)
-    bits = gaps.view(np.int64)
+def _distinct_rows(keys: np.ndarray):
+    """Distinct rows of keys, bit for bit, and the index of each row's,
+    found by a lexsort of the rows' bits and a compare of neighbours."""
+    b = keys.shape[0]
+    bits = keys.view(np.int64)
     order = np.lexsort(bits.T)
     runs = bits[order]
     first = np.empty(b, dtype=bool)
-    first[0] = True
+    first[:1] = True
     np.any(runs[1:] != runs[:-1], axis=1, out=first[1:])
     inverse = np.empty(b, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return gaps[order[first]], inverse
+    return keys[order[first]], inverse
+
+
+def _by_key(kernel, keys, sigmas, w):
+    """kernel over the distinct rows of keys, in blocks, gathered by row; at
+    one sigma, or below two rows, every row stands for itself (unsorted)."""
+    if sigmas.size == 1 or keys.shape[0] < 2:
+        return _time_sum(kernel, keys, sigmas, w)
+    distinct, inverse = _distinct_rows(keys)
+    return _time_sum(kernel, distinct, sigmas, w)[inverse]
 
 
 def _max_value_batch(X: np.ndarray, sigmas: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
     """Closed-form ranked potential for every row of X, summed over the
-    sigmas with weights w; (b,).
-
-    The ranked sum depends on a row only through its gaps, so it is
-    evaluated once per distinct gap tuple and gathered before the mean of
-    the row is added.
-    """
+    sigmas with weights w; (b,).  A value depends on a row only through its
+    mean and its gaps, so it is evaluated once per distinct (mean, gaps)."""
     _, gaps = _ranked(X)
-    gaps, inv = _distinct_gaps(gaps, sigmas)
-    coeff = _rank_coeffs(X.shape[1])
+    return _by_key(_max_key_values, np.column_stack([X.mean(axis=1), gaps]),
+                   sigmas, w)
+
+
+def _max_key_values(keys: np.ndarray, sigmas: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+    """The time-summed value of each (mean, gaps) row of keys; (k,)."""
+    gaps = keys[:, 1:]
     z = gaps[:, None, :] / sigmas[None, :, None]
     sig_f = (_SQRT_2_PI * sigmas[None, :, None] * np.exp(-0.5 * z * z)
              + gaps[:, None, :] * special.erf(z / _SQRT2))
-    vals = X.mean(axis=1)[:, None] + (coeff * sig_f).sum(axis=-1)[inv]
+    vals = keys[:, :1] + (_rank_coeffs(keys.shape[1]) * sig_f).sum(axis=-1)
     return (vals * w).sum(axis=1)
 
 
@@ -525,43 +540,47 @@ def _max_grad_batch(X: np.ndarray, sigmas: np.ndarray,
     """Gradient of the ranked potential summed over the sigmas with weights
     w, unsorted back to input order; (b, n).
 
-    In ranked position k (1-based) the derivative is
-    1/n + sum_{l >= k} erf(z_l / sqrt 2)/(l(l+1)) - erf(z_{k-1}/sqrt 2)/k,
-    the last term only for k >= 2.  Entries are nonnegative and sum to one.
-    The ranked weights depend on a row only through its gaps, so they are
-    evaluated and summed over time once per distinct gap tuple, then
+    The ranked weights are time-summed once per distinct gap tuple, then
     gathered and unsorted; the time sum adds the same terms in the same
     order in every position, so unsorting after it moves no bit.
     """
-    n = X.shape[1]
     order, gaps = _ranked(X)
-    gaps, inv = _distinct_gaps(gaps, sigmas)
-    coeff = _rank_coeffs(n)
-    z = gaps[:, None, :] / sigmas[None, :, None]
-    e = special.erf(z / _SQRT2)
-    tail = np.cumsum((coeff * e)[..., ::-1], axis=-1)[..., ::-1]
-    g = np.full((gaps.shape[0], sigmas.size, n), 1.0 / n)
-    g[..., :-1] += tail
-    g[..., 1:] -= e / np.arange(2, n + 1)
-    ranked = (g * w[:, None]).sum(axis=1)[inv]
+    ranked = _by_key(_max_key_weights, gaps, sigmas, w)
     return np.take_along_axis(ranked, np.argsort(order, axis=-1), axis=-1)
 
 
-# doubles one row keeps live per sigma, given n: for heat values its CDF
-# columns (at most n - 1 new differences a row), the running product and
-# one gathered operand; for heat weights its log-CDF rows (at most n * n
-# new differences a row), the running sum and one gathered term, and from
-# n = 8 seven more lanes of the sum, above the n * n - n + 2 and
-# n * n - n + 9 rows of y nodes seen on rows that share no difference; for
-# the max kernels, 4n (values) and 5n (weights), above the 4(n - 1) and
-# 5n - 3 seen on rows that share no gap tuple (all as tracemalloc sees
-# them)
+def _max_key_weights(gaps: np.ndarray, sigmas: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
+    """Time-summed ranked weights of each gap tuple, (k, n).  In ranked
+    position k (1-based) the derivative is
+    1/n + sum_{l >= k} erf(z_l / sqrt 2)/(l(l+1)) - erf(z_{k-1}/sqrt 2)/k,
+    the last term only for k >= 2.  Entries are nonnegative and sum to one.
+    """
+    n = gaps.shape[1] + 1
+    z = gaps[:, None, :] / sigmas[None, :, None]
+    e = special.erf(z / _SQRT2)
+    tail = np.cumsum((_rank_coeffs(n) * e)[..., ::-1], axis=-1)[..., ::-1]
+    g = np.full((gaps.shape[0], sigmas.size, n), 1.0 / n)
+    g[..., :-1] += tail
+    g[..., 1:] -= e / np.arange(2, n + 1)
+    return (g * w[:, None]).sum(axis=1)
+
+
+# doubles one row, or one distinct max key, keeps live per sigma, given its
+# width m: for heat values (m = n) its CDF columns (at most n - 1 new
+# differences a row), the running product and one gathered operand; for
+# heat weights its log-CDF rows (at most n * n new differences a row), the
+# running sum and one gathered term, and from n = 8 seven more lanes of the
+# sum, above the n * n - n + 2 and n * n - n + 9 rows of y nodes seen on
+# rows that share no difference; 4n for a max (mean, gaps) key of width n,
+# 5n for a gap key of width n - 1, above the 4(n - 1) and 5n - 3 seen (all
+# as tracemalloc sees them).  Max key steps keep ~5n a row of the batch.
 _ROW_DOUBLES = {
-    _heat_value_batch: lambda n: (n + 1) * _U_NODES.size,
-    _heat_grad_batch: lambda n: ((n * n + (2 if n < 8 else 9))
-                                 * _weight_rule(n)[0].size),
-    _max_value_batch: lambda n: 4 * n,
-    _max_grad_batch: lambda n: 5 * n,
+    _heat_value_batch: lambda m: (m + 1) * _U_NODES.size,
+    _heat_grad_batch: lambda m: ((m * m + (2 if m < 8 else 9))
+                                 * _weight_rule(m)[0].size),
+    _max_key_values: lambda m: 4 * m,
+    _max_key_weights: lambda m: 5 * (m + 1),
 }
 
 
@@ -579,25 +598,6 @@ def _time_sum(kernel, X, sigmas, w, *args):
         return kernel(X, sigmas, w, *args)
     return np.concatenate([kernel(X[lo:lo + step], sigmas, w, *args)
                            for lo in range(0, X.shape[0], step)])
-
-
-# ---------------------------------------------------------------------------
-# geometric-horizon interface
-
-
-def _geometric_value(X, handle, kernel):
-    t, w = exp_time_nodes(handle.delta)
-    sigmas = np.sqrt(2.0 * handle.kappa * (-t))
-    vals = _time_sum(kernel, X, sigmas, w)
-    if handle.side == "lower":
-        return vals - handle.shift_constant
-    return vals + handle.shift_constant
-
-
-def _geometric_gradient(X, handle, kernel, *args):
-    t, w = exp_time_nodes(handle.delta, order=_GRAD_TIME_ORDER)
-    sigmas = np.sqrt(2.0 * handle.kappa * (-t))
-    return clip_simplex(_time_sum(kernel, X, sigmas, w, *args))
 
 
 # ---------------------------------------------------------------------------

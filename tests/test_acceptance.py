@@ -206,12 +206,13 @@ def test_lattice_sandwich_matrix():
 
 
 def test_long_horizon_player_oracle_within_budget():
-    # 113,521 states at delta=0.01; its sweeps took 31 s
+    # 113,521 states at delta=0.01; its sweeps took 31 s, policy iteration
+    # with every target projected 2.2 s
     n, delta = 4, 0.01
     player = make_player("max", n, delta)
     start = time.monotonic()
     lvf = value_iteration_player(player, n, delta, radius=60)
-    assert time.monotonic() - start < 10.0
+    assert time.monotonic() - start < 4.0
     assert lvf.states.shape[0] == 31 ** 4 - 30 ** 4
     assert lvf.fixed_point_gap <= 1e-8
 

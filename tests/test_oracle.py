@@ -153,25 +153,72 @@ def _tables_by_loop(states, shifts, radius):
     return nxt, dist
 
 
-@pytest.mark.parametrize("block", [2**20, 20])
-@pytest.mark.parametrize("law", ["vertices", "heat", "max"])
-def test_transition_tables_match_the_loop(law, block, monkeypatch):
-    # a 20-entry block splits the 61 states into many projection batches
-    monkeypatch.setattr(oracle, "_TABLE_BLOCK", block)
-    n, radius = 3, 8
-    states = build_states(n, radius)
+def _tables_by_projection(states, shifts, radius):
+    """_transition_tables as it was before it projected edge targets only:
+    every (state, outcome) target projected, then searched by its key."""
+    shifts = np.broadcast_to(shifts, states.shape[:1] + shifts.shape[-2:])
+    shifts = shifts.swapaxes(0, 1)
+    keys = oracle._lattice_key(states, radius)
+    nxt = np.empty(shifts.shape[:2], dtype=np.int64)
+    dist = np.empty(shifts.shape[:2])
+    step = max(1, oracle._TABLE_BLOCK // shifts.shape[0])
+    for start in range(0, states.shape[0], step):
+        rows = slice(start, start + step)
+        proj, moved = project_state(states[rows] + shifts[:, rows], radius)
+        nxt[:, rows] = np.searchsorted(keys, oracle._lattice_key(proj, radius))
+        dist[:, rows] = moved
+    return nxt, dist
+
+
+def _law_shifts(law, states, n):
+    """(K, n-1) vertex shifts, or (S, K, n-1) shifts of an adversary law."""
     if law == "vertices":
         outcomes = np.array(list(itertools.product((-1, 1), repeat=n)))
-        shifts = outcomes[:, -1:] - outcomes[:, :-1]
-    else:
-        x_full = np.hstack([states, np.zeros((len(states), 1))])
-        support, _ = make_adversary(law, n).outcomes_batch(x_full)
-        shifts = (support[:, :, -1:] - support[:, :, :-1]).astype(np.int64)
+        return outcomes[:, -1:] - outcomes[:, :-1]
+    x_full = np.hstack([states, np.zeros((len(states), 1))])
+    support, _ = make_adversary(law, n).outcomes_batch(x_full)
+    return (support[:, :, -1:] - support[:, :, :-1]).astype(np.int64)
+
+
+@pytest.mark.parametrize("block", [2**20, 20])
+@pytest.mark.parametrize("n, radius, law", [
+    pytest.param(3, 8, "vertices", id="vertices"),
+    pytest.param(3, 8, "heat", id="heat"),
+    pytest.param(3, 8, "max", id="max"),
+    pytest.param(4, 10, "vertices", id="n4-r10-vertices"),
+    pytest.param(4, 10, "max", id="n4-r10-max"),
+    pytest.param(5, 6, "heat", id="n5-r6-heat"),  # 20 outcomes a state
+    # every state but the origin on the edge
+    pytest.param(3, 2, "vertices", id="n3-r2-vertices"),
+    pytest.param(4, 2, "max", id="n4-r2-max"),
+])
+def test_transition_tables_match_the_loop(n, radius, law, block,
+                                          monkeypatch):
+    # a 20-entry block splits the states into many projection batches
+    monkeypatch.setattr(oracle, "_TABLE_BLOCK", block)
+    projected = []
+
+    def counting(d, r):
+        projected.append(d.shape[-2])
+        return project_state(d, r)
+
+    states = build_states(n, radius)
+    shifts = _law_shifts(law, states, n)
+    monkeypatch.setattr(oracle, "project_state", counting)
     nxt, dist = _transition_tables(states, shifts, radius)
+    assert nxt.flags.c_contiguous and dist.flags.c_contiguous
     want_nxt, want_dist = _tables_by_loop(states, shifts, radius)
     np.testing.assert_array_equal(nxt, want_nxt)
     np.testing.assert_array_equal(dist, want_dist)
-    assert np.any(dist > 0)
+    old_nxt, old_dist = _tables_by_projection(states, shifts, radius)
+    assert np.array_equal(nxt, old_nxt) and np.array_equal(dist, old_dist)
+    # targets leave the domain only from states within their shifts'
+    # largest span of the edge, and only those states' targets are projected
+    edge = oracle._span(states) + oracle._span(shifts).max(axis=-1) > radius
+    assert np.all(dist[:, ~edge] == 0) and np.any(dist > 0)
+    assert sum(projected) == edge.sum() < len(states)
+    if radius == 2:
+        assert edge.sum() == len(states) - 1
 
 
 # sweeps, residual, fixed_point_gap and the certified origin bracket at
@@ -473,6 +520,43 @@ def test_ties_end_policy_iteration(player_tables):
         exact = oracle._policy_iteration(g, delta, gain, target, int(radius))
         np.testing.assert_array_equal(full[0], exact[0])
         assert full[1:] == exact[1:]
+
+
+def _full_argmax_iteration(g, delta, gain, target, radius):
+    """_policy_iteration as it was before it took the argmax over the
+    switched columns only: a full argmax every round."""
+    stop, cols = delta * g, np.arange(g.size)
+    v, policy = np.append(g, 0.0), None
+    for sweeps in range(1, 2 * radius + 21):
+        q = v[target]
+        q += gain
+        best = q.argmax(axis=0)
+        top = q[best, cols]
+        new = stop + (1.0 - delta) * top
+        if policy is not None:
+            switch = top - q[policy, cols] > 4 * np.spacing(np.abs(top).max())
+            if not switch.any():
+                return new, float(np.max(np.abs(new - v[:-1]))), sweeps
+            best = np.where(switch, best, policy)
+        policy = best
+        v = oracle._policy_value(stop, 1.0 - delta, gain, target, policy)
+    raise AssertionError("no policy iteration fixed point")
+
+
+@pytest.mark.parametrize("kind", ["exp", "max"])
+def test_switched_argmax_matches_the_full_one(kind, player_tables):
+    # both runs of the lattice-n4 game, the pinned error term on max's exits
+    n, delta, radius = 4, 0.05, 30
+    err = _MAX_UPPER_ERROR_N4 if kind == "max" else 0.0
+    value_iteration_player(make_player(kind, n, delta), n, delta, radius,
+                           error_term=err)
+    assert len(player_tables) == 2
+    for args in player_tables[:2]:
+        got = oracle._policy_iteration(*args)
+        want = _full_argmax_iteration(*args)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        assert want[2] > 2  # policies switched after the first round
 
 
 def test_a_tol_below_the_rounding_floor_fails_fast():

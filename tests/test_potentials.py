@@ -6,11 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from geostop import potentials
 from geostop.bounds import ErrorConstants, heat_bounds, max_bounds
 from geostop.game import clip_simplex
+from geostop.oracle import build_states
 from geostop.potentials import (
     PotentialHandle,
     _heat_grad_batch,
@@ -628,6 +631,59 @@ def test_deduplicated_max_kernels_match_the_direct_formula(n):
             if factory is max_upper_handle:  # the max player's handle
                 weights = make_player("max", n, 0.05).weights_batch(X)
                 assert np.array_equal(weights, want), kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 6), whole=st.booleans(), data=st.data())
+def test_keyed_max_kernels_match_row_by_row(n, whole, data):
+    # a row evaluated alone is never keyed; in a batch its (mean, gaps) or
+    # gaps key may be shared by permuted duplicates (gaps and mean alike)
+    # and by whole rows shifted by a constant (gaps alike, means not)
+    coord = (st.integers(-20, 20).map(lambda k: 2.0 * k) if whole
+             else st.floats(-50.0, 50.0, allow_nan=False))
+    base = np.array(data.draw(st.lists(st.lists(coord, min_size=n, max_size=n),
+                                       min_size=1, max_size=6)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    perms = np.array([rng.permutation(row) for row in base])
+    shifted = base + 2.0 * rng.integers(1, 4, size=(len(base), 1))
+    X = np.vstack([base, perms, base, shifted])
+    X = X[rng.permutation(len(X))]
+    t, w = exp_time_nodes(0.05)
+    sigmas = np.sqrt(2.0 * 3.0 * (-t))
+    for kernel in (potentials._max_value_batch, potentials._max_grad_batch):
+        want = np.concatenate([kernel(x[None, :], sigmas, w) for x in X])
+        assert np.array_equal(kernel(X, sigmas, w), want), kernel
+
+
+def test_a_lattice_batch_evaluates_each_distinct_key_once(monkeypatch):
+    # a small budget makes a row block far smaller than the batch; the
+    # keys are found over the whole batch, so no key reaches two blocks
+    states = build_states(4, 20)
+    X = np.hstack([states, np.zeros((len(states), 1))])
+    handle, player = max_upper_handle(4, 0.05), make_player("max", 4, 0.05)
+    want = handle.value_batch(X), player.weights_batch(X)
+    monkeypatch.setattr(potentials, "_CHUNK_BUDGET", 20_000)
+    blocks = {}
+    for name in ("_max_key_values", "_max_key_weights"):
+        kernel = getattr(potentials, name)
+
+        def spy(keys, sigmas, w, kernel=kernel, name=name):
+            blocks.setdefault(name, []).append(keys.copy())
+            return kernel(keys, sigmas, w)
+
+        monkeypatch.setitem(potentials._ROW_DOUBLES, spy,
+                            potentials._ROW_DOUBLES[kernel])
+        monkeypatch.setattr(potentials, name, spy)
+    assert np.array_equal(handle.value_batch(X), want[0])
+    assert np.array_equal(player.weights_batch(X), want[1])
+    _, gaps = potentials._ranked(X)
+    for name, key in (("_max_key_values", np.column_stack([X.mean(1), gaps])),
+                      ("_max_key_weights", gaps)):
+        evaluated = np.vstack(blocks[name])
+        assert len(blocks[name]) > 1
+        assert max(len(b) for b in blocks[name]) * 10 < len(X)
+        assert len(np.unique(evaluated, axis=0)) == len(evaluated)
+        assert len(evaluated) == len(np.unique(key, axis=0)), name
 
 
 def test_only_whole_number_differences_enter_the_weight_memo(monkeypatch):
