@@ -13,7 +13,7 @@ sqrt(2 log n / delta) climbs toward sqrt(pi)/2, which is the sense in
 which exponential weights (ratio 1/2 at the lower asymptote) leaves a
 constant factor on the table.
 
-Run:  python3 demos/asymptotic_constants.py   (about half a minute)
+Run:  python3 demos/asymptotic_constants.py   (about half a second)
 """
 
 import math

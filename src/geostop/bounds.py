@@ -26,7 +26,7 @@ from .specfun import (
     laplace_inv1_bound,
     laplace_inv32_integral,
 )
-from .strategies import heat_adversary_support
+from .strategies import heat_adversary_support, make_adversary, sign_vertices
 
 __all__ = [
     "ErrorConstants", "BoundReport",
@@ -122,23 +122,16 @@ def _directional_scan(handle: PotentialHandle, xs, ts, qs,
     return worst
 
 
-def _cube_directions(n: int, rng: np.random.Generator, extra: int = 12):
-    verts = [v for v in np.ndindex(*(2,) * n)]
-    qs = [2.0 * np.array(v, dtype=float) - 1.0 for v in verts]
-    qs = [q for q in qs if q[0] > 0]  # quadratic/cubic forms are sign-paired
-    qs += list(rng.uniform(-1.0, 1.0, size=(extra, n)))
-    return np.array(qs)
-
-
 def estimate_error_constants(n: int, delta: float,
                              seed: int = 0) -> ErrorConstants:
     """Scan finite-difference derivative sizes over a deterministic grid.
 
     States are drawn in a ball of radius 10/sqrt(delta) around the origin
     (plus the origin and a near-tie point), times log-spaced in
-    [-10, -delta], and directions taken from the relevant adversary
-    supports for the lower families and from the sign cube for the upper
-    families; past the heat support's limit on n it raises ValueError at once.
+    [-10, -delta].  Directions, one of each pair +-q: the rows with q_1 = +1
+    of the heat law's support (heat lower) and of sign_vertices plus 12
+    uniform draws (upper families), and the max law's distinct leaders on
+    the grid (max lower).  Past n = 20 it raises ValueError at once.
     """
     return ErrorConstants(**_scan_constants(n, delta, seed))
 
@@ -148,24 +141,19 @@ def _scan_constants(n: int, delta: float, seed: int,
     """The named fields (all five by default) of
     estimate_error_constants(n, delta, seed), running only their scans; the
     grid and directions are drawn as for all five."""
-    heat_qs = np.array([q for q in heat_adversary_support(n)
-                        if tuple(q) >= tuple(-q)])
+    heat_qs = heat_adversary_support(n)
+    heat_qs = heat_qs[heat_qs[:, 0] > 0]
     rng = np.random.default_rng(seed + 1)
     xs, ts = _estimation_grid(n, delta, seed)
-    cube_qs = _cube_directions(n, rng)
-
-    leader_qs = []
-    for x in xs:
-        q = np.full(n, -1.0)
-        q[int(np.argmax(x))] = 1.0
-        leader_qs.append(q)
-    leader_qs = np.array(list({tuple(q) for q in leader_qs}))
+    cube_qs = np.vstack([sign_vertices(n)[2 ** (n - 1):],
+                         rng.uniform(-1.0, 1.0, size=(12, n))])
+    leaders = make_adversary("max", n).outcomes_batch(xs)[0][:, 0]
 
     scans = {
         "k3_heat_lower": (heat_lower_handle, heat_qs, 3),
         "k4_heat_lower": (heat_lower_handle, heat_qs, 4),
         "k3_heat_upper": (heat_upper_handle, cube_qs, 3),
-        "k3_max_lower": (max_lower_handle, leader_qs, 3),
+        "k3_max_lower": (max_lower_handle, np.unique(leaders, axis=0), 3),
         "k3_max_upper": (max_upper_handle, cube_qs, 3),
     }
     return {name: _directional_scan(scans[name][0](n, delta), xs, ts,

@@ -38,7 +38,6 @@ over 10^7 entries (states times 2^n outcomes) are refused up front.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -46,7 +45,7 @@ import numpy as np
 
 from .game import _check_tol, check_stopping_rate
 from .potentials import PotentialHandle
-from .strategies import AdversaryStrategy, PlayerStrategy
+from .strategies import AdversaryStrategy, PlayerStrategy, sign_vertices
 
 # transition-table entries (states x 2^n vertex outcomes) a lattice may need
 _MAX_TABLE_ENTRIES = 10**7
@@ -358,8 +357,7 @@ def value_iteration_player(player: PlayerStrategy, n: int, delta: float,
         raise ValueError(f"player {player.kind!r} has no potential to read "
                          "the optimistic run's exit values from")
     states, rows = _setup(n, delta, radius, tol)
-    outcomes = np.array(list(itertools.product((-1, 1), repeat=n)),
-                        dtype=np.int64)
+    outcomes = sign_vertices(n)
     shifts = outcomes[:, -1:] - outcomes[:, :-1]
     weights = player.weights_batch(rows)
     # immediate term E[q_I] - q_n for each outcome/state

@@ -4,11 +4,11 @@ Players map a cumulative regret vector to probability weights over the
 experts.  The potential-based players use the gradient of an upper-bound
 potential; the bundled adversaries realize the distributions under which
 the matching lower-bound potentials are tight.
+The sign cube {-1, 1}^n has one builder, sign_vertices, for n <= 20.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +23,7 @@ from .potentials import (
 PLAYER_KINDS = ("exp", "heat", "max", "uniform", "follow_best")
 ADVERSARY_KINDS = ("heat", "max")
 
-# Enumerating sign patterns past this n is too large.
+# the largest n whose sign cube (2^n rows) is enumerated
 _ENUM_LIMIT = 20
 
 
@@ -68,20 +68,25 @@ def make_player(kind: str, n: int, delta: float) -> PlayerStrategy:
     return PlayerStrategy(kind, n, delta)
 
 
-def heat_adversary_support(n: int) -> np.ndarray:
-    """All sign vectors with coordinate sum 0 (even n) or +-1 (odd n).
+def sign_vertices(n: int) -> np.ndarray:
+    """The 2^n vertices of [-1, 1]^n as int64 rows, for n <= 20.
 
-    Rows are ordered lexicographically.  Enumeration is limited to n <= 20.
+    Rows are in lexicographic order, -1 before +1, so row 2^n - 1 - k is
+    minus row k and the rows from 2^(n-1) on are those with q_1 = +1.
     """
     n = int(n)
+    if n > _ENUM_LIMIT:
+        raise ValueError(f"sign cube enumerated only for n <= {_ENUM_LIMIT}")
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 2 * bits - 1
+
+
+def heat_adversary_support(n: int) -> np.ndarray:
+    """Rows of sign_vertices(n), as float, summing to 0 (even n) or +-1 (odd n)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"support enumeration limited to n <= {_ENUM_LIMIT}")
-    target = {0} if n % 2 == 0 else {-1, 1}
-    rows = [q for q in itertools.product((-1.0, 1.0), repeat=n)
-            if sum(q) in target]
-    return np.array(rows)
+    q = sign_vertices(n)
+    return q[np.abs(q.sum(axis=1)) == n % 2].astype(float)
 
 
 @dataclass(frozen=True)

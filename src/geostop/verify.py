@@ -11,14 +11,15 @@ for its matching adversary a; an upper-bound potential w must satisfy
 and be nondecreasing in every coordinate.  These checks evaluate both
 sides by batched finite differences at sampled states and report every
 violation beyond tolerance; the cube maximum is bounded by the sign-vertex
-maximum plus the negative part of the Hessian's diagonal.  Final-time
+maximum plus the negative part of the Hessian's diagonal; the vertices come
+from strategies.sign_vertices, so past n = 20 the upper suite raises
+ValueError before any Hessian.  Final-time
 proximity to the max and exact behaviour under adding a multiple of the
 all-ones vector are checked the same way.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -36,7 +37,7 @@ from .potentials import (
     max_lower_handle,
     max_upper_handle,
 )
-from .strategies import AdversaryStrategy, make_adversary
+from .strategies import AdversaryStrategy, make_adversary, sign_vertices
 
 SUITES = ("lower", "upper", "final-time", "translation", "gradients", "all")
 
@@ -138,16 +139,16 @@ def check_lower_condition(handle: PotentialHandle,
                        _worst(margins, xs))
 
 
-def _cube_form_bound(hess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cube_form_bound(hess: np.ndarray,
+                     signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Upper bound on max over q in [-1,1]^n of q^T H q, and its slack s.
 
     q^T H q is a parabola in each q_i with leading coefficient H_ii, so
     with s = sum_i max(0, -H_ii), q^T (H + diag(max(0, -H_ii))) q peaks at
     a sign vertex and vertex_max(H) <= cube_max(H) <= vertex_max(H) + s.
+    signs holds one vertex of each pair +-q: sign_vertices' q_1 = +1 rows.
     """
-    n = hess.shape[-1]
-    signs = np.array([(1,) + s for s in itertools.product((-1, 1), repeat=n - 1)],
-                     dtype=float)
+    signs = np.asarray(signs, dtype=float)
     vertex = np.einsum("ki,bij,kj->bk", signs, hess, signs).max(axis=1)
     slack = np.maximum(-np.diagonal(hess, axis1=1, axis2=2), 0.0).sum(axis=1)
     return vertex + slack, slack
@@ -165,8 +166,9 @@ def check_upper_condition(handle: PotentialHandle, xs: np.ndarray,
     m, n = xs.shape
     d = handle.delta
     c = (1.0 - d) / (2.0 * d)
+    signs = sign_vertices(n)[2 ** (n - 1):]  # refuses n > 20 first
     hess = fd_hessian_batch(handle.value_batch, xs)
-    form_max, slack = _cube_form_bound(hess)
+    form_max, slack = _cube_form_bound(hess, signs)
     v0 = np.asarray(handle.value_batch(xs))
     margins = xs.max(axis=1) + c * form_max - v0
     violations = int(np.sum(margins > tol))

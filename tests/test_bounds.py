@@ -20,6 +20,7 @@ from geostop.potentials import (PotentialHandle, heat_lower_handle,
                                 heat_upper_handle, max_lower_handle,
                                 max_upper_handle)
 from geostop.specfun import gaussian_max_expectation, laplace_inv1_bound
+from geostop.strategies import heat_adversary_support
 
 
 def test_diffusion_constants_for_game():
@@ -198,6 +199,41 @@ def test_error_constants_refuse_past_the_heat_support_at_once():
     with pytest.raises(ValueError, match="n <= 20"):
         estimate_error_constants(21, 0.1)
     assert time.monotonic() - start < 5.0
+
+
+def test_scan_directions_come_from_the_cube_and_the_laws(monkeypatch):
+    # the directions each scan receives, against reference constructions:
+    # the cube by np.ndindex, heat pairs by tuple order, leaders by a loop
+    seen = {}
+
+    def spy(handle, xs, ts, qs, order):
+        seen[handle.family, handle.side, order] = qs
+        return 0.0
+
+    monkeypatch.setattr(bounds, "_directional_scan", spy)
+    for n in range(2, 9):
+        for seed in (0, 1, 3):
+            bounds._scan_constants(n, 0.01, seed)
+            rng = np.random.default_rng(seed + 1)
+            xs, _ = bounds._estimation_grid(n, 0.01, seed)
+            cube = [2.0 * np.array(v, dtype=float) - 1.0
+                    for v in np.ndindex(*(2,) * n)]
+            cube = np.array([q for q in cube if q[0] > 0]
+                            + list(rng.uniform(-1.0, 1.0, size=(12, n))))
+            heat = np.array([q for q in heat_adversary_support(n)
+                             if tuple(q) >= tuple(-q)])
+            leaders = set()
+            for x in xs:
+                q = np.full(n, -1.0)
+                q[int(np.argmax(x))] = 1.0
+                leaders.add(tuple(q))
+            for key in (("heat", "upper", 3), ("max", "upper", 3)):
+                np.testing.assert_array_equal(seen[key], cube)
+            for key in (("heat", "lower", 3), ("heat", "lower", 4)):
+                np.testing.assert_array_equal(seen[key], heat)
+            got = seen["max", "lower", 3]
+            assert len(got) == len(leaders)
+            assert {tuple(q) for q in got} == leaders
 
 
 def test_all_bounds_families_and_sides():

@@ -88,6 +88,9 @@ def test_usage_errors_exit_2(argv, capsys):
      "delta must lie in (0, 1], got 0.0"),
     (["simulate", "--n", "2", "--delta", "1"], "delta must lie in (0, 1), got 1.0"),
     (["bounds", "--n", "2", "--delta", "1"], "delta must lie in (0, 1), got 1.0"),
+    # past the sign cube's limit, refused before any Hessian
+    (["verify", "--suite", "upper", "--n", "21", "--samples", "1"], "n <= 20"),
+    (["verify", "--suite", "all", "--n", "21", "--samples", "1"], "n <= 20"),
 ])
 def test_refused_values_say_why(argv, message, capsys):
     assert main(argv) == 2

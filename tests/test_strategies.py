@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import special
@@ -10,6 +13,7 @@ from geostop.strategies import (
     heat_adversary_support,
     make_adversary,
     make_player,
+    sign_vertices,
 )
 
 
@@ -171,3 +175,35 @@ def test_unknown_adversary_kind():
 def test_support_enumeration_limit():
     with pytest.raises(ValueError):
         heat_adversary_support(24)
+
+
+def test_sign_vertices_in_product_order():
+    for n in range(1, 11):
+        v = sign_vertices(n)
+        assert v.dtype == np.int64
+        np.testing.assert_array_equal(
+            v, np.array(list(itertools.product((-1, 1), repeat=n))))
+        # row 2^n - 1 - k is minus row k; the upper half has q_1 = +1
+        np.testing.assert_array_equal(v[::-1], -v)
+        assert np.all(v[2 ** (n - 1):, 0] == 1)
+
+
+def test_sign_vertices_refuse_past_twenty_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n <= 20"):
+            sign_vertices(21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_heat_adversary_support_is_the_filtered_product():
+    for n in range(2, 13):
+        target = {0} if n % 2 == 0 else {-1, 1}
+        rows = [q for q in itertools.product((-1.0, 1.0), repeat=n)
+                if sum(q) in target]
+        got = heat_adversary_support(n)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.array(rows))

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geostop import verify
 from geostop.potentials import (
     exp_handle,
     heat_lower_handle,
     max_upper_handle,
 )
-from geostop.strategies import make_adversary
+from geostop.strategies import make_adversary, sign_vertices
 from geostop.verify import (
     SUITES,
     _cube_form_bound,
@@ -86,11 +87,20 @@ def test_cube_form_bound_brackets_the_cube_maximum(n, data):
                                  max_size=n * n))
     a = np.array(entries).reshape(n, n)
     hess = np.triu(a) + np.triu(a, 1).T
-    bound, slack = _cube_form_bound(hess[None])
+    bound, slack = _cube_form_bound(hess[None], sign_vertices(n)[2 ** (n - 1):])
     axis = np.linspace(-1.0, 1.0, 9)
     grid = np.array(list(itertools.product(axis, repeat=n)))
     grid_max = np.einsum("ki,ij,kj->k", grid, hess, grid).max()
     assert bound[0] - slack[0] - 1e-12 <= grid_max <= bound[0] + 1e-12
+
+
+def test_upper_suite_refuses_past_twenty_before_any_hessian(monkeypatch):
+    def no_hessian(*args, **kwargs):
+        raise AssertionError("a Hessian was evaluated past n = 20")
+
+    monkeypatch.setattr(verify, "fd_hessian_batch", no_hessian)
+    with pytest.raises(ValueError, match="n <= 20"):
+        run_suite("upper", n=21, samples=1)
 
 
 def test_gradient_check_of_only_near_ties_reports_no_states():
