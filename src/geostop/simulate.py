@@ -5,6 +5,9 @@ index), so results do not depend on execution order or batching and a
 config always reproduces bit for bit.  Within a trial the draws are
 consumed in a fixed order: one uniform for the horizon, then per round one
 uniform for the adversary outcome followed by one for the followed expert.
+A batch seeds all its streams in one vectorised pass, which repeats
+numpy's seeding arithmetic exactly, and keeps each trial's draws end to
+end in one flat array.
 
 Trials walk a state graph that one ``run`` shares across its chunks: its
 nodes are the reduced states x - x_n met so far, and its edges the moves
@@ -30,7 +33,11 @@ from .game import check_stopping_rate
 from .strategies import AdversaryStrategy, PlayerStrategy
 
 _SEED_MASK = (1 << 64) - 1
+# chunks bound the trial-major draws, 16 bytes per round of each trial
 _TRIALS_PER_CHUNK = 2048
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -90,9 +97,62 @@ class SimulationResult:
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The stream owned by one trial; independent of all other trials."""
+    """The stream owned by one trial; independent of all other trials.
+
+    This is the reference: the batched runner seeds its streams with
+    ``_trial_states`` and must hold exactly the PCG64 state this returns.
+    """
     return np.random.default_rng(
         np.random.SeedSequence([seed & _SEED_MASK, trial]))
+
+
+def _trial_states(seed: int, trials: np.ndarray) -> tuple[list, list]:
+    """PCG64 ``(state, inc)`` of ``trial_rng(seed, t)`` for each t in trials.
+
+    Repeats ``SeedSequence([seed & mask, t]).generate_state(4, np.uint64)``
+    in uint32 arithmetic over all trials at once: the seed's one or two
+    little-endian words, then the trial's low and high words, zero-padded
+    to the pool size of 4 (an absent entropy word hashes as a 0 word).
+    Then PCG64's seeding step turns the four words into the state.
+    """
+    seed &= _SEED_MASK
+    t = np.asarray(trials, dtype=np.uint64)
+    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(len(t), w, dtype=np.uint32) for w in words]
+    entropy += [(t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)]
+    entropy += [np.zeros(len(t), dtype=np.uint32)] * (4 - len(entropy))
+
+    hash_const = 0x43b0d7e5  # one running constant across every hashmix
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x931e8875 & _MASK32
+        v = v * np.uint32(hash_const)
+        return v ^ (v >> 16)
+
+    pool = [hashmix(e) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (pool[dst] * np.uint32(0xca01f9dd)
+                         - hashmix(pool[src]) * np.uint32(0x4973f715))
+                pool[dst] = mixed ^ (mixed >> 16)
+    hash_const = 0x8b51f9dd
+    out = []
+    for j in range(8):
+        v = pool[j % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * 0x58f38ded & _MASK32
+        v = v * np.uint32(hash_const)
+        out.append((v ^ (v >> 16)).astype(np.uint64))
+    w = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+
+    states, incs = [], []
+    for w0, w1, w2, w3 in zip(*w):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append(((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128)
+        incs.append(inc)
+    return states, incs
 
 
 def horizon_from_uniform(u: float, delta: float) -> int:
@@ -154,7 +214,7 @@ class _StateGraph:
         self.player, self.adversary = player, adversary
         self.n = n = adversary.n
         _, probs = adversary.outcomes_batch(np.zeros((1, n)))
-        self.cum_probs = np.cumsum(probs)[None, :]
+        self.cum_probs = np.cumsum(probs)
         self.outcome_count = len(probs)
         self._index = {bytes(n * 8): 0}
         self.states = np.zeros((64, n), dtype=np.int64)
@@ -164,6 +224,15 @@ class _StateGraph:
         self.dest = np.zeros(64, dtype=np.int64)
         self.shift = np.zeros(64, dtype=np.int64)
         self.outcome = np.zeros((64, n), dtype=np.int64) if collect_outcomes else None
+
+    def outcomes(self, u: np.ndarray) -> np.ndarray:
+        """The adversary's outcome index per uniform, in ``_select``'s bins.
+
+        The law is one cumulative row shared by every state, so one
+        ``searchsorted`` finds the index with cum[k-1] <= u < cum[k].
+        """
+        k = np.searchsorted(self.cum_probs, u, side="right")
+        return np.minimum(k, self.outcome_count - 1)
 
     def weights(self, nodes: np.ndarray) -> np.ndarray:
         """Cumulative weights of the given nodes, filling the missing ones."""
@@ -239,20 +308,27 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
     rounds = np.empty(count, dtype=np.int64)
     truncated = 0
     draws = []
-    for b in range(count):
-        rng = trial_rng(cfg.seed, start + b)
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    states = zip(*_trial_states(cfg.seed, np.arange(start, stop)))
+    for b, (state, inc) in enumerate(states):
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         t_raw = horizon_from_uniform(rng.random(), cfg.delta)
         if t_raw > cfg.max_rounds_cap:
             truncated += 1
         rounds[b] = min(t_raw, cfg.max_rounds_cap)
         draws.append(rng.random(2 * int(rounds[b])))
-    # longest trials first, so that the trials still playing are a prefix
+    # longest trials first, so that the trials still playing are a prefix;
+    # each trial's draws end to end, its round r at first + 2r and first + 2r + 1
     order = np.argsort(-rounds, kind="stable")
     t_max = int(rounds.max(initial=0))
     playing = np.searchsorted(-rounds[order], -np.arange(t_max), side="left")
-    u = np.zeros((2 * t_max, count))
-    for col, b in enumerate(order):
-        u[:len(draws[b]), col] = draws[b]
+    u = np.concatenate([draws[b] for b in order.tolist()])
+    del draws
+    first = np.zeros(count, dtype=np.int64)
+    np.cumsum(2 * rounds[order[:-1]], out=first[1:])
 
     nodes = np.zeros(count, dtype=np.int64)
     shift = np.zeros(count, dtype=np.int64)
@@ -261,8 +337,9 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
     n_outcomes = 0
     for r, m in enumerate(playing.tolist()):
         at = nodes[:m]
-        k = _select(graph.cum_probs, u[2 * r, :m])
-        i = _select(graph.weights(at), u[2 * r + 1, :m])
+        pos = first[:m] + 2 * r
+        k = graph.outcomes(u[pos])
+        i = _select(graph.weights(at), u[pos + 1])
         nodes[:m], moved, q = graph.step(at, k, i)
         shift[:m] += moved
         if q is not None:
@@ -277,7 +354,6 @@ def _run_chunk(cfg: SimulationConfig, start: int, stop: int,
 def run(cfg: SimulationConfig, collect_outcomes: bool = False) -> SimulationResult:
     """Run all trials; identical output for identical configs."""
     graph = _StateGraph(cfg.player, cfg.adversary, collect_outcomes)
-    # chunks bound the (2 t_max, trials) table of uniforms
     outs = [_run_chunk(cfg, s, min(s + _TRIALS_PER_CHUNK, cfg.trials), graph)
             for s in range(0, cfg.trials, _TRIALS_PER_CHUNK)]
 

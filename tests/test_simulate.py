@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,8 @@ from geostop.simulate import (
     SimulationConfig,
     SimulationResult,
     _select,
+    _StateGraph,
+    _trial_states,
     horizon_from_uniform,
     play_episode,
     run,
@@ -56,6 +59,50 @@ def test_trial_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(a, c)
 
 
+_STREAM_TRIALS = list(range(3000)) + [2**32 - 1, 2**32, 2**40 + 3, 2**63]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 7,
+                                  2**64 - 1, -1, -12345])
+def test_batched_seeding_matches_trial_rng(seed):
+    # the one-pass seeding must give every trial exactly trial_rng's stream:
+    # seeds of one and two 32-bit words, trials of one and two words
+    states, incs = _trial_states(seed, np.array(_STREAM_TRIALS, dtype=np.uint64))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for t, state, inc in zip(_STREAM_TRIALS, states, incs):
+        want = trial_rng(seed, t)
+        assert want.bit_generator.state["state"] == {"state": state,
+                                                     "inc": inc}, t
+        if t % 500 == 0 or t >= 2**32 - 1:
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            np.testing.assert_array_equal(rng.random(5), want.random(5))
+
+
+class _TenthsAdversary:
+    # ten outcomes of probability 0.1, whose cumulative sum ends below 1
+    n = 2
+
+    def outcomes_batch(self, x):
+        return np.zeros((len(x), 10, 2)), np.full(10, 0.1)
+
+
+@pytest.mark.parametrize("adversary", [make_adversary("heat", 3),
+                                       make_adversary("max", 4),
+                                       _TenthsAdversary()])
+def test_shared_law_outcomes_match_select(adversary):
+    graph = _StateGraph(make_player("uniform", adversary.n, 0.2), adversary,
+                        collect_outcomes=False)
+    cum = graph.cum_probs
+    # bin edges, just below them, 0, and u >= cum[-1] where the index clamps
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2**-53, 1.0]])
+    assert (u >= cum[-1]).sum() >= 2
+    np.testing.assert_array_equal(graph.outcomes(u),
+                                  _select(np.tile(cum, (len(u), 1)), u))
+
+
 def test_select_matches_cumulative_bins():
     # the draw contract of both simulate paths: index i with
     # cum[i-1] <= u < cum[i]
@@ -98,6 +145,25 @@ def test_run_matches_episode_by_episode_replay(kind, n):
     replay = np.array([play_episode(cfg, trial_rng(cfg.seed, t))
                        for t in range(cfg.trials)])
     assert batched.mean_regret == replay.mean()
+
+
+def test_draws_bound_the_memory_peak(monkeypatch):
+    # a chunk holds its draws trial-major, 16 bytes a round, and builds
+    # no zero-padded (2 t_max, trials) table
+    cfg = _config(player="max", adversary="max", delta=0.002, trials=1024,
+                  seed=5)
+    monkeypatch.setattr(simulate, "_TRIALS_PER_CHUNK", cfg.trials)
+    rounds = 0
+    for t in range(cfg.trials):
+        t_raw = horizon_from_uniform(trial_rng(cfg.seed, t).random(), cfg.delta)
+        rounds += min(t_raw, cfg.max_rounds_cap)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * rounds
 
 
 def test_truncation_is_counted():
